@@ -17,6 +17,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvalidSystem,
+    MalformedInput,
     NotAperiodicAtHorizon,
     NotConditionallyErgodic,
     TheoremViolation,

@@ -30,6 +30,7 @@ from .errors import (
     CepsError,
     DomainError,
     InvalidSystem,
+    MalformedInput,
     NotAperiodicAtHorizon,
     NotConditionallyErgodic,
     TheoremViolation,
@@ -49,10 +50,6 @@ from .suites import SUITE_NAMES, run_suite
 from .tower import build_tower, build_tower_eps, build_tower_eps_ls, n_aperiodic
 
 
-class MalformedInput(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; the taxonomy wants 3
         raise MalformedInput(f"{message}\n{self.format_usage()}")
@@ -66,14 +63,17 @@ def _default_seed() -> int:
         return 0
 
 
-def _parse_indices(raw: str) -> frozenset[int]:
-    raw = raw.strip()
-    if not raw:
-        return frozenset()
+def _parse_indices(raw: str, size: int) -> frozenset[int]:
+    """A CSV of indices (--p, --q, --v), each inside the loaded ground set."""
     try:
-        return frozenset(int(tok) for tok in raw.split(","))
+        indices = frozenset(map(int, raw.split(","))) if raw.strip() else frozenset()
     except ValueError as exc:
         raise MalformedInput(f"bad index list {raw!r}: {exc}") from None
+    outside = sorted(i for i in indices if not 0 <= i < size)
+    if outside:
+        raise MalformedInput(f"index {outside[0]} is outside the ground set "
+                             f"0..{size - 1}")
+    return indices
 
 
 def _parse_eps(raw: str) -> Fraction:
@@ -89,22 +89,6 @@ def _parse_range(raw: str) -> tuple[int, int]:
         return (int(lo), int(hi if hi else lo))
     except ValueError as exc:
         raise MalformedInput(f"bad range {raw!r} (expected LO:HI): {exc}") from None
-
-
-def _load_system(path: str, force: bool = False):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            candidate = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(candidate, dict):
-        raise MalformedInput(f"{path} does not hold a system object")
-    report = system_mod.validate_ceps(candidate)
-    if not report.ok and not force:
-        raise InvalidSystem(report)
-    return system_mod.from_raw(candidate, force=force)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -203,14 +187,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
-    try:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            candidate = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {args.system}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{args.system} is not valid JSON: {exc}") from None
-    report = system_mod.validate_ceps(candidate)
+    report = system_mod.validate_ceps(system_mod.read_raw(args.system))
     payload = {"scenario": "validate", "system": args.system, **report.as_dict()}
     return (0 if report.ok else 2), payload
 
@@ -256,8 +233,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 
 def _cmd_kac(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
-    p = _parse_indices(args.p)
+    sys = system_mod.load(args.system, args.force)
+    p = _parse_indices(args.p, sys.size)
     started = time.perf_counter()
     lhs, rhs, ok = kac_certificate(sys, p)
     payload = {
@@ -273,8 +250,8 @@ def _cmd_kac(args) -> tuple[int, dict]:
 
 
 def _cmd_decompose(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
-    p = _parse_indices(args.p)
+    sys = system_mod.load(args.system, args.force)
+    p = _parse_indices(args.p, sys.size)
     decomp = return_decomposition(sys, p)
     n_p = first_return_time(sys, p)
     kac_ok = None
@@ -294,9 +271,9 @@ def _cmd_decompose(args) -> tuple[int, dict]:
 
 
 def _cmd_recurrent(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
-    p = _parse_indices(args.p)
-    q = _parse_indices(args.q)
+    sys = system_mod.load(args.system, args.force)
+    p = _parse_indices(args.p, sys.size)
+    q = _parse_indices(args.q, sys.size)
     result = check_recurrent(sys, p, q)
     return 0, {
         "scenario": "recurrent",
@@ -326,8 +303,8 @@ def _tower_csv(path, sys, t) -> None:
 
 
 def _cmd_tower(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
-    p = _parse_indices(args.p)
+    sys = system_mod.load(args.system, args.force)
+    p = _parse_indices(args.p, sys.size)
     started = time.perf_counter()
     t = build_tower(sys, p, args.n)
     if args.csv:
@@ -337,7 +314,7 @@ def _cmd_tower(args) -> tuple[int, dict]:
 
 
 def _cmd_tower_eps(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
+    sys = system_mod.load(args.system, args.force)
     eps = _parse_eps(args.eps)
     started = time.perf_counter()
     t = build_tower_eps(sys, args.n, eps)
@@ -349,9 +326,9 @@ def _cmd_tower_eps(args) -> tuple[int, dict]:
 
 
 def _cmd_tower_ls(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
+    sys = system_mod.load(args.system, args.force)
     eps = _parse_eps(args.eps)
-    v = _parse_indices(args.v)
+    v = _parse_indices(args.v, sys.size)
     started = time.perf_counter()
     t = build_tower_eps_ls(sys, v, args.n, eps)
     return 0, _tower_payload(
@@ -361,8 +338,8 @@ def _cmd_tower_ls(args) -> tuple[int, dict]:
 
 
 def _cmd_aperiodic(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
-    v = _parse_indices(args.v)
+    sys = system_mod.load(args.system, args.force)
+    v = _parse_indices(args.v, sys.size)
     results = {}
     modes = ["criterion", "definitional"] if args.mode == "both" else [args.mode]
     for mode in modes:
@@ -378,7 +355,7 @@ def _cmd_aperiodic(args) -> tuple[int, dict]:
 
 
 def _cmd_approx(args) -> tuple[int, dict]:
-    sys = _load_system(args.system, args.force)
+    sys = system_mod.load(args.system, args.force)
     seed = args.seed if args.seed is not None else _default_seed()
     started = time.perf_counter()
     if args.manual:
@@ -386,7 +363,7 @@ def _cmd_approx(args) -> tuple[int, dict]:
             raise MalformedInput("approx --manual needs --p and --n")
         eps = _parse_eps(args.eps) if args.eps else None
         result = build_s_prime(
-            sys, _parse_indices(args.p), args.n, eps=eps,
+            sys, _parse_indices(args.p, sys.size), args.n, eps=eps,
             samples=args.samples, seed=seed,
         )
     else:
@@ -414,6 +391,8 @@ def _cmd_approx(args) -> tuple[int, dict]:
 
 
 def _cmd_suite(args) -> tuple[int, dict]:
+    if args.trials < 1:
+        raise MalformedInput(f"suite --trials must be >= 1, got {args.trials}")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.name, args.trials, seed, first_trial=args.first_trial)
     return (0 if report["outcome"] == "pass" else 1), report
@@ -449,9 +428,6 @@ def main(argv=None) -> int:
         out = None if args.command == "gen" else getattr(args, "out", None)
         _emit(report, out)
         return code
-    except MalformedInput as exc:
-        print(str(exc), file=_sys.stderr)
-        return 3
     except TheoremViolation as exc:
         _emit({"outcome": "theorem-violation", "error": str(exc)},
               getattr(args, "out", None))

@@ -21,6 +21,11 @@ class DomainError(CepsError):
     """A parameter is outside the operation's domain (k < 1, eps <= 0, ...)."""
 
 
+class MalformedInput(CepsError):
+    """Input that cannot be read at all: a system file that is missing or
+    not a JSON object, or a bad command-line argument."""
+
+
 class InvalidSystem(CepsError):
     """A raw system description failed validation.
 

@@ -17,7 +17,6 @@ formula is exactly the cross-check the suites run.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .lattice import Component, LatticeElement, as_component
@@ -74,16 +73,6 @@ def forward_image_union(sys: GroundSystem, q: Iterable[int], steps: int) -> Comp
     return frozenset(union)
 
 
-def orbit_of(sys: GroundSystem, x: int) -> Component:
-    """The full tau-orbit of a point, by walking until it closes."""
-    orbit = {x}
-    y = sys.tau[x]
-    while y != x:
-        orbit.add(y)
-        y = sys.tau[y]
-    return frozenset(orbit)
-
-
 def block_average(sys: GroundSystem, f: LatticeElement) -> LatticeElement:
     """T f recomputed with explicit per-block weighted sums."""
     out = []
@@ -99,11 +88,3 @@ def all_components(size: int) -> Iterator[Component]:
     """Every subset of {0,...,size-1}, empty set first (2^size of them)."""
     for mask in range(1 << size):
         yield frozenset(i for i in range(size) if mask >> i & 1)
-
-
-def nonzero_subcomponents(c: Component) -> Iterator[Component]:
-    """Every nonempty subset of c, lazily, smallest first (singletons early)."""
-    members = sorted(c)
-    for r in range(1, len(members) + 1):
-        for combo in combinations(members, r):
-            yield frozenset(combo)

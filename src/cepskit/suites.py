@@ -26,9 +26,6 @@ from .lattice import LatticeElement
 from .oracles import first_return_sets
 from .system import GroundSystem, validate_ceps
 
-SUITE_NAMES = ("kac", "poincare", "tower", "aperiodic", "approx")
-
-
 def _trial_system(
     seed: int,
     size_cap: int = 64,
@@ -60,19 +57,11 @@ def _random_element(rng: random.Random, size: int) -> LatticeElement:
 
 def run_trial(suite: str, master_seed: int, index: int) -> list[str]:
     """Run one trial of the named suite; returns failure descriptions."""
+    if suite not in _TRIALS:
+        raise ValueError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
     rng = random.Random(master_seed * 1_000_003 + index)
     trial_seed = rng.randrange(2**62)
-    if suite == "kac":
-        return _kac_trial(trial_seed, rng)
-    if suite == "poincare":
-        return _poincare_trial(trial_seed, rng)
-    if suite == "tower":
-        return _tower_trial(trial_seed, rng)
-    if suite == "aperiodic":
-        return _aperiodic_trial(trial_seed, rng)
-    if suite == "approx":
-        return _approx_trial(trial_seed, rng)
-    raise ValueError(f"unknown suite {suite!r}")
+    return _TRIALS[suite](trial_seed, rng)
 
 
 def _kac_trial(trial_seed: int, rng: random.Random) -> list[str]:
@@ -189,6 +178,16 @@ def _approx_trial(trial_seed: int, rng: random.Random) -> list[str]:
     return problems
 
 
+_TRIALS = {
+    "kac": _kac_trial,
+    "poincare": _poincare_trial,
+    "tower": _tower_trial,
+    "aperiodic": _aperiodic_trial,
+    "approx": _approx_trial,
+}
+SUITE_NAMES = tuple(_TRIALS)
+
+
 def _parallel_width() -> int:
     raw = os.environ.get("CEPSKIT_PARALLEL", "1")
     try:
@@ -207,9 +206,6 @@ def run_suite(name: str, trials: int, seed: int, first_trial: int = 0) -> dict:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     names = SUITE_NAMES if name == "all" else (name,)
-    for n in names:
-        if n not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {n!r}, expected one of {SUITE_NAMES}")
 
     started = time.perf_counter()
     failures = []

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionError, DomainError, InvalidSystem, NotConditionallyErgodic
+from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
+                     NotConditionallyErgodic)
 from .lattice import Component, LatticeElement, as_component, indicator, ones
 from .rationals import as_rational, format_rational
 
@@ -47,6 +48,9 @@ class Check:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[Check, ...]
+    # The system the checks ran on (axioms not enforced); None when the
+    # pieces were too malformed to build one.
+    system: GroundSystem | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -372,8 +376,9 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
             ok_blocks, witness = False, sorted(covered & set(block))
             break
         covered |= set(block)
-    if ok_blocks and covered != set(range(size)):
-        ok_blocks, witness = False, sorted(set(range(size)) - covered)
+    # Members are in range and disjoint, so a short count means a gap.
+    if ok_blocks and len(covered) != size:
+        ok_blocks, witness = False, next(i for i in range(size) if i not in covered)
     checks.append(Check("blocks-partition", ok_blocks, witness))
 
     ok_tau = len(tau) == size and sorted(tau) == list(range(size))
@@ -411,13 +416,15 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     also checks the CEPS axioms extensionally on the N coordinate
     indicators: Te = e, Se = e and TSf = Tf. The structural and
     extensional verdicts for TS = T must agree; a mismatch is itemized as
-    its own failed check.
+    its own failed check. The report carries the system the extensional
+    checks ran on, so a loader need not build it again.
     """
     checks: list[Check] = []
     try:
         size, weights, blocks, tau = _parse_parts(candidate)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
-        return ValidationReport((Check("parseable", False, str(exc)),))
+        # args[0] is the missing key, the offending index or a message.
+        return ValidationReport((Check("parseable", False, exc.args[0]),))
 
     report = validate_parts(size, weights, blocks, tau)
     checks.extend(report.checks)
@@ -446,7 +453,14 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     checks.append(
         Check("TS-structural-extensional-agreement", structural == (witness is None))
     )
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), sys)
+
+
+def _index(value) -> int:
+    """A block member or tau entry: a JSON integer, never a bool, float or string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(value)
 
 
 def _parse_parts(candidate: Mapping):
@@ -454,32 +468,53 @@ def _parse_parts(candidate: Mapping):
     if not isinstance(size, int) or isinstance(size, bool):
         raise DomainError(f"size must be an integer, got {size!r}")
     weights = tuple(as_rational(w) for w in candidate["weights"])
-    blocks = tuple(frozenset(int(i) for i in block) for block in candidate["blocks"])
-    tau = tuple(int(i) for i in candidate["tau"])
+    blocks = tuple(frozenset(_index(i) for i in block) for block in candidate["blocks"])
+    tau = tuple(_index(i) for i in candidate["tau"])
     return size, weights, blocks, tau
 
 
 def from_raw(candidate: Mapping, force: bool = False) -> GroundSystem:
-    """Build a GroundSystem from a raw description, validating it first.
+    """Build a GroundSystem from a raw description, validating it once.
 
-    Invalid systems are refused with InvalidSystem unless ``force`` is set,
-    which admits well-formed systems that violate the dynamical axioms
-    (for counterexample demos). Malformed descriptions - a non-permutation
-    tau, blocks that do not partition the ground set, nonpositive weights -
-    are refused even under force, since the operators are undefined there.
+    The description is parsed once and put through every check of
+    ``validate_ceps`` once; the system returned is the one those checks
+    ran on. Invalid systems are refused with InvalidSystem unless ``force``
+    is set. ``force`` admits well-formed systems that violate the dynamical
+    axioms (for counterexample demos), but never malformed pieces - an
+    unparseable entry, a non-permutation tau, blocks that do not partition
+    the ground set, nonpositive weights - since the operators are undefined
+    there.
     """
     report = validate_ceps(candidate)
-    if not report.ok and not force:
-        raise InvalidSystem(report)
-    size, weights, blocks, tau = _parse_parts(candidate)
-    return GroundSystem(size, weights, blocks, tau, check_axioms=not force)
+    if report.ok or (force and report.system is not None):
+        return report.system
+    raise InvalidSystem(report)
+
+
+def read_raw(path) -> dict:
+    """Open and decode a system file; the one place a system file is read.
+
+    A path that cannot be read, bytes that are not UTF-8, invalid JSON and
+    a top level that is not an object all raise MalformedInput.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            candidate = json.load(fh)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise MalformedInput(f"{path} is not valid UTF-8 JSON: {exc}") from None
+    if not isinstance(candidate, dict):
+        raise MalformedInput(f"{path} does not hold a system object")
+    return candidate
 
 
 def load(path, force: bool = False) -> GroundSystem:
-    """Load a system file (JSON with rationals as "a/b" strings)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
-    return from_raw(candidate, force=force)
+    """Load a system file (JSON with rationals as "a/b" strings).
+
+    Read once by ``read_raw``, validated once by ``from_raw`` (see there for ``force``).
+    """
+    return from_raw(read_raw(path), force=force)
 
 
 def save(sys: GroundSystem, path) -> None:

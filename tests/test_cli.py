@@ -1,11 +1,14 @@
+import builtins
 import json
+from collections import Counter
 
 import pytest
 
+from cepskit import system
 from cepskit.cli import main
 from cepskit.generators import single_cycle, swap_example, with_single_block, \
     direct_product
-from cepskit.system import save
+from cepskit.system import GroundSystem, save
 
 
 @pytest.fixture
@@ -254,3 +257,124 @@ def test_force_load_for_counterexample_demo(tmp_path, capsys):
                        "--force")
     assert code == 0
     assert report["parts"] == {"2": [0]}
+
+
+# -- one load path --
+
+_UNREADABLE = {
+    "missing": None,
+    "directory": None,
+    "invalid-json": b"{not json",
+    "non-utf8": b"\xff\xfe{}",
+    "json-array": b"[1, 2, 3]",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["kac", "--p", "0"]],
+                         ids=["validate", "kac"])
+@pytest.mark.parametrize("kind", list(_UNREADABLE))
+def test_unreadable_system_file_is_exit_3(tmp_path, capsys, kind, command):
+    path = tmp_path / "sys.json"
+    if kind == "directory":
+        path.mkdir()
+    elif _UNREADABLE[kind] is not None:
+        path.write_bytes(_UNREADABLE[kind])
+    code = main([command[0], "--system", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field, value, witness", [
+    ("blocks", [[0, 1.9]], 1.9),
+    ("tau", [True, False], True),
+])
+def test_non_integer_indices_fail_parseable(tmp_path, capsys, field, value, witness):
+    raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]], "tau": [1, 0]}
+    raw[field] = value
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(raw))
+    code, report = run(capsys, "validate", "--system", str(path))
+    assert code == 2
+    assert report["checks"] == [{"name": "parseable", "passed": False,
+                                 "witness": witness}]
+    code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
+    assert code == 2 and report["kind"] == "InvalidSystem"
+    assert report["checks"][0]["witness"] == witness
+
+
+def test_huge_declared_size_gets_a_small_report(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"size": 1_000_000, "weights": ["1"],
+                                "blocks": [[0]], "tau": [0]}))
+    assert path.stat().st_size < 100
+    code = main(["validate", "--system", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out) < 1024
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == ["size-positive", "weights-wellformed",
+                            "weights-strictly-positive", "blocks-partition",
+                            "tau-permutation"]
+    assert checks["blocks-partition"]["witness"] == 1  # the first missing index
+
+
+@pytest.mark.parametrize("argv", [
+    ["kac", "--system", "{swap}", "--p", "5"],
+    ["recurrent", "--system", "{swap}", "--p=-1", "--q", "0"],
+    ["suite", "kac", "--trials", "0"],
+], ids=["kac-p-too-large", "recurrent-p-negative", "suite-zero-trials"])
+def test_out_of_range_arguments_are_exit_3(swap_file, capsys, argv):
+    code = main([arg.format(swap=swap_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.strip() and "Traceback" not in captured.err
+
+
+def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
+    n = 9
+    path = tmp_path / "c9.json"
+    save(single_cycle(n), path)
+    counts = Counter()
+    validating = []
+
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            counts["open"] += 1
+        return real_open(file, *args, **kwargs)
+
+    real_validate = system.validate_ceps
+
+    def counting_validate(candidate):
+        counts["validate_ceps"] += 1
+        validating.append(True)
+        try:
+            return real_validate(candidate)
+        finally:
+            validating.pop()
+
+    real_expectation = GroundSystem.expectation
+
+    def counting_expectation(self, f):
+        if validating:
+            counts["expectation while validating"] += 1
+        return real_expectation(self, f)
+
+    real_post_init = GroundSystem.__post_init__
+
+    def counting_post_init(self, check_axioms):
+        counts["construct"] += 1
+        real_post_init(self, check_axioms)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(system, "validate_ceps", counting_validate)
+    monkeypatch.setattr(GroundSystem, "expectation", counting_expectation)
+    monkeypatch.setattr(GroundSystem, "__post_init__", counting_post_init)
+    code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
+    assert code == 0 and report["equal"] is True
+    # Te = e once, then T(S chi_m) and T(chi_m) for each of the n points.
+    assert counts == {"open": 1, "validate_ceps": 1, "construct": 1,
+                      "expectation while validating": 2 * n + 1}

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cepskit.errors import DimensionError, InvalidSystem, NotConditionallyErgodic
+from cepskit.errors import CepsError, DimensionError, InvalidSystem, MalformedInput, \
+    NotConditionallyErgodic
 from cepskit.generators import (
     direct_product,
     single_cycle,
@@ -75,6 +76,41 @@ def test_from_raw_force_admits_axiom_violations_only():
                  "tau": [0, 0]}
     with pytest.raises(InvalidSystem):
         from_raw(malformed, force=True)
+    unparseable = dict(malformed, tau=[1.0, 0])
+    with pytest.raises(InvalidSystem):
+        from_raw(unparseable, force=True)
+
+
+@pytest.mark.parametrize("field, value, witness", [
+    ("blocks", [[0, "1"]], "1"),
+    ("tau", [1.0, 0], 1.0),
+])
+def test_indices_must_be_json_integers(field, value, witness):
+    raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]], "tau": [1, 0]}
+    raw[field] = value
+    (check,) = validate_ceps(raw).checks
+    assert (check.name, check.passed) == ("parseable", False)
+    assert check.witness == witness and type(check.witness) is type(witness)
+
+
+def test_report_carries_the_system_it_checked():
+    raw = swap_example().as_dict()
+    assert validate_ceps(raw).system == swap_example()
+    assert validate_ceps({"size": "x"}).system is None
+
+
+@pytest.mark.parametrize("content",
+                         [None, "directory", b"\xff\xfe{}", b"{oops", b"[1, 2]"])
+def test_load_raises_malformed_input(tmp_path, content):
+    path = tmp_path / "sys.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(MalformedInput) as info:
+        load(path)
+    assert isinstance(info.value, CepsError)
+    assert not isinstance(info.value, OSError)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -235,3 +235,12 @@ def test_tower_eps_ls_rejects_non_invariant_v():
     merged = with_single_block(direct_product([single_cycle(3), single_cycle(12)]))
     with pytest.raises(NotAperiodicAtHorizon):
         build_tower_eps_ls(merged, range(3), 2, F(1, 5))
+
+
+def test_tower_eps_ls_names_short_cycle_in_callers_indices():
+    # The restricted subsystem would number this cycle (0, 1, 2); the
+    # up-front horizon check reports it in the ambient system's indices.
+    merged = with_single_block(direct_product([single_cycle(12), single_cycle(3)]))
+    with pytest.raises(NotAperiodicAtHorizon) as info:
+        build_tower_eps_ls(merged, range(12, 15), 2, F(1, 5))
+    assert info.value.cycle == (12, 13, 14)
