@@ -6,11 +6,15 @@ approximating homomorphism is the operator sum
     S' = S P_q + S^{1-n} P_{S^{n-1}p} + P_{e-h},
 
 with h the whole tower and q the tower minus its top level. S' cycles
-the tower with period n and is the identity off it. The point map tau'
-is *extracted* from the operator sum by applying S' to the coordinate
-indicators - the sum is the ground truth, and the extraction is guarded
-by the partition-of-unity identity from the S'e = e computation. The
-conditional distance to S is certified per component u:
+the tower with period n and is the identity off it. Since S' is defined
+by how it acts on the tower levels, its point map tau' is read off the
+levels point by point: each coordinate indicator chi_m lies in exactly
+one of q, S^{n-1}p and e-h, and the matching term sends it to one
+coordinate indicator. The operator sum itself (``s_prime_operator``) is
+kept as the dense cross-check oracle. The construction is guarded by the
+partition-of-unity identity from the S'e = e computation and by
+TS' = T on every coordinate indicator. The conditional distance to S is
+certified per component u:
 
     T |(S - S')u| <= eps e,
 
@@ -23,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from typing import Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import Component, LatticeElement, as_component, band_project
+from .lattice import Component, LatticeElement, as_component, band_project, elem
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -126,9 +130,12 @@ def build_s_prime(
     analytic majorant 2Tp + 2T(e-h), which the construction always
     satisfies; pass an explicit eps to certify a tighter target.
     """
-    p = as_component(p)
+    p = sys.component(p)
     if n < 2:
         raise DomainError(f"period bound must be >= 2, got {n}")
+    if n > sys.size:
+        # n nonempty levels cannot be disjoint in fewer than n points.
+        raise DomainError(f"period bound {n} exceeds |Omega| = {sys.size}")
     if not p:
         raise DomainError("tower base p must be nonzero")
     levels = [sys.component_image(i, p) for i in range(n)]
@@ -152,12 +159,7 @@ def build_s_prime(
 
     tau_prime = _extract_point_map(sys, p, n)
 
-    # TS' = T, checked on every coordinate indicator.
-    for m in range(sys.size):
-        chi = sys.indicator([m])
-        image = LatticeElement(tuple(chi[tau_prime[x]] for x in range(sys.size)))
-        if sys.expectation(image) != sys.expectation(chi):
-            raise TheoremViolation(f"TS' = T fails on indicator of {m}")
+    _check_ts_prime_equals_t(sys, tau_prime)
 
     max_cycle = max(len(c) for c in permutation_cycles(tau_prime))
     if max_cycle > n:
@@ -188,20 +190,47 @@ def build_s_prime(
 
 
 def _extract_point_map(sys: GroundSystem, p: Component, n: int) -> tuple[int, ...]:
-    """Read tau' off the operator sum: S' chi_m is the indicator of tau'^{-1}(m)."""
+    """Read tau' off the tower levels: S' chi_m is the indicator of tau'^{-1}(m).
+
+    The three terms of S' send chi_m to S chi_m if m is in q, to
+    S^{1-n} chi_m if m is in the top level and to chi_m if m is off the
+    tower; together they must hit exactly one point. This is the operator
+    sum ``s_prime_operator`` applied to chi_m, computed on the one point it
+    moves instead of on all N coordinates.
+    """
+    levels = [sys.component_image(i, p) for i in range(n)]
+    h = frozenset().union(*levels)
+    q = frozenset().union(*levels[: n - 1])
+    top = levels[n - 1]
     tau_prime = [-1] * sys.size
     for m in range(sys.size):
-        image = s_prime_operator(sys, p, n, sys.indicator([m]))
-        preimage = sorted(image.support())
-        if len(preimage) != 1 or image[preimage[0]] != 1:
+        hits = []
+        if m in q:
+            hits.extend(sys.component_image(1, {m}))
+        if m in top:
+            hits.extend(sys.component_image(1 - n, {m}))
+        if m not in h:
+            hits.append(m)
+        if len(hits) != 1:
+            image = elem([hits.count(x) for x in range(sys.size)])
             raise TheoremViolation(
                 f"S' chi_{m} is not a coordinate indicator: {image!r}"
             )
-        x = preimage[0]
+        x = hits[0]
         if tau_prime[x] != -1:
             raise TheoremViolation(f"extracted point map not injective at {x}")
         tau_prime[x] = m
     return tuple(tau_prime)
+
+
+def _check_ts_prime_equals_t(sys: GroundSystem, tau_prime: tuple[int, ...]) -> None:
+    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}."""
+    preimage = [0] * sys.size
+    for x, m in enumerate(tau_prime):
+        preimage[m] = x
+    for m in range(sys.size):
+        if sys.component_expectation({preimage[m]}) != sys.component_expectation({m}):
+            raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
 
 def distance_profile(
@@ -258,27 +287,39 @@ def _scan_components(sys: GroundSystem, tau_prime, eps, masks):
 
     Only points where tau and tau' disagree can contribute to the
     pointwise difference, so the scan accumulates block-weighted mass over
-    that set alone.
+    that set alone. The weights are scaled by the lcm of their
+    denominators, so the masses are integers, and the per-block value
+    acc_b / mass_b is compared with eps by cross-multiplication; the worst
+    value per block is a Fraction only on the way out.
     """
-    diff_points = [x for x in range(sys.size) if sys.tau[x] != tau_prime[x]]
+    scale = lcm(*(w.denominator for w in sys.weights))
+    weight = [w.numerator * (scale // w.denominator) for w in sys.weights]
+    mass = [sum(weight[i] for i in block) for block in sys.blocks]
+    diff = [
+        (sys.tau[x], tau_prime[x], sys.block_of[x], weight[x])
+        for x in range(sys.size)
+        if sys.tau[x] != tau_prime[x]
+    ]
+    limit = [eps.numerator * m for m in mass]
     n_blocks = len(sys.blocks)
-    worst = [Fraction(0)] * n_blocks
+    worst = [0] * n_blocks
     all_ok = True
     checked = 0
     for mask in masks:
         checked += 1
-        acc = [Fraction(0)] * n_blocks
-        for x in diff_points:
-            if (mask >> sys.tau[x] & 1) != (mask >> tau_prime[x] & 1):
-                acc[sys.block_of[x]] += sys.weights[x]
+        acc = [0] * n_blocks
+        for tx, tpx, b, w in diff:
+            if (mask >> tx & 1) != (mask >> tpx & 1):
+                acc[b] += w
         for b in range(n_blocks):
-            value = acc[b] / sys.block_mass[b]
+            value = acc[b]
             if value > worst[b]:
                 worst[b] = value
-            if value > eps:
+            if value * eps.denominator > limit[b]:
                 all_ok = False
+    per_block = [Fraction(worst[b], mass[b]) for b in range(n_blocks)]
     profile = LatticeElement(
-        tuple(worst[sys.block_of[i]] for i in range(sys.size))
+        tuple(per_block[sys.block_of[i]] for i in range(sys.size))
     )
     return profile, checked, all_ok
 

@@ -10,7 +10,7 @@ exit-code taxonomy separates defects from expected refusals:
     3  malformed input
 
 Environment variables: CEPSKIT_SEED overrides the default --seed,
-CEPSKIT_PARALLEL sets the suite parallelism width.
+CEPSKIT_PARALLEL sets the suite parallelism width (at most the CPU count).
 """
 
 from __future__ import annotations
@@ -74,6 +74,16 @@ def _parse_indices(raw: str, size: int) -> frozenset[int]:
         raise MalformedInput(f"index {outside[0]} is outside the ground set "
                              f"0..{size - 1}")
     return indices
+
+
+def _check_height(n: int, size: int) -> None:
+    """Refuse a tower or approx --manual height --n above |Omega|.
+
+    No such height has a nonempty base with disjoint iterates, and its
+    levels would take n times the memory of the system to build.
+    """
+    if n > size:
+        raise MalformedInput(f"--n {n} exceeds the ground set size {size}")
 
 
 def _parse_eps(raw: str) -> Fraction:
@@ -305,6 +315,7 @@ def _tower_csv(path, sys, t) -> None:
 def _cmd_tower(args) -> tuple[int, dict]:
     sys = system_mod.load(args.system, args.force)
     p = _parse_indices(args.p, sys.size)
+    _check_height(args.n, sys.size)
     started = time.perf_counter()
     t = build_tower(sys, p, args.n)
     if args.csv:
@@ -361,6 +372,7 @@ def _cmd_approx(args) -> tuple[int, dict]:
     if args.manual:
         if args.p is None or args.n is None:
             raise MalformedInput("approx --manual needs --p and --n")
+        _check_height(args.n, sys.size)
         eps = _parse_eps(args.eps) if args.eps else None
         result = build_s_prime(
             sys, _parse_indices(args.p, sys.size), args.n, eps=eps,

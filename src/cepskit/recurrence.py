@@ -63,7 +63,7 @@ class ReturnDecomposition:
 
 def return_decomposition(sys: GroundSystem, p: Iterable[int]) -> ReturnDecomposition:
     """All nonzero q(p,k); their disjoint union is exactly p (Poincare)."""
-    p = as_component(p)
+    p = sys.component(p)
     parts: dict[int, Component] = {}
     remaining = set(p)
     for k in range(1, max_cycle_length_meeting(sys, p) + 1):
@@ -93,8 +93,8 @@ def check_recurrent(sys: GroundSystem, p: Iterable[int], q: Iterable[int]) -> bo
     system (each forward tau-image of q sweeps out the cycles meeting q),
     so the union is taken up to that bound.
     """
-    p = as_component(p)
-    q = as_component(q)
+    p = sys.component(p)
+    q = sys.component(q)
     union: set[int] = set()
     steps = max((len(c) for c in sys.cycles), default=0)
     for n in range(1, steps + 1):
@@ -137,7 +137,7 @@ def kac_certificate(
     would be a build-breaking defect, not a data condition.
     """
     sys.require_conditionally_ergodic()
-    p = as_component(p)
+    p = sys.component(p)
     lhs = sys.expectation(first_return_time(sys, p))
     tp = sys.expectation(sys.indicator(p))
     rhs = band_project(tp.support(), sys.unit)

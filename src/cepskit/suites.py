@@ -6,9 +6,9 @@ full reproduction parameters. A failing check always carries a standalone
 command line that reruns exactly that trial.
 
 Trials are independent and may run in parallel (width from the
-CEPSKIT_PARALLEL environment variable); the report is assembled in trial
-order either way, so it is a deterministic function of
-(suite name, trials, seed).
+CEPSKIT_PARALLEL environment variable, capped at the CPU count); the
+report is assembled in trial order either way, so it is a deterministic
+function of (suite name, trials, seed).
 """
 
 from __future__ import annotations
@@ -189,11 +189,13 @@ SUITE_NAMES = tuple(_TRIALS)
 
 
 def _parallel_width() -> int:
+    """CEPSKIT_PARALLEL, clamped to 1..os.cpu_count()."""
     raw = os.environ.get("CEPSKIT_PARALLEL", "1")
     try:
-        return max(1, int(raw))
+        width = int(raw)
     except ValueError:
         return 1
+    return max(1, min(width, os.cpu_count() or 1))
 
 
 def _run_indexed(args: tuple[str, int, int]) -> tuple[int, list[str]]:

@@ -120,7 +120,7 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     if n < 1:
         raise DomainError(f"tower height must be >= 1, got {n}")
     sys.require_conditionally_ergodic()
-    p = as_component(p)
+    p = sys.component(p)
 
     decomp = return_decomposition(sys, p)
     base: set[int] = set()

@@ -12,11 +12,11 @@ from cepskit.approx import (
     s_prime_operator,
     surjectivity_preimage,
 )
-from cepskit.errors import DomainError, NotAperiodicAtHorizon
+from cepskit.errors import DimensionError, DomainError, NotAperiodicAtHorizon
 from cepskit.generators import single_cycle, swap_example
 from cepskit.lattice import elem
 from cepskit.oracles import all_components
-from cepskit.system import permutation_cycles
+from cepskit.system import GroundSystem, permutation_cycles
 
 F = Fraction
 
@@ -138,6 +138,23 @@ def test_build_s_prime_rejections():
         build_s_prime(sys, [0], 1)
     with pytest.raises(DomainError):
         build_s_prime(sys, [0, 1], 3)  # iterates not disjoint
+    with pytest.raises(DimensionError):
+        build_s_prime(sys, [7], 3)
+
+
+def test_build_s_prime_refuses_period_above_size_before_any_level(monkeypatch):
+    images = []
+    real_image = GroundSystem.component_image
+
+    def counting_image(self, j, p):
+        images.append(j)
+        return real_image(self, j, p)
+
+    monkeypatch.setattr(GroundSystem, "component_image", counting_image)
+    with pytest.raises(DomainError, match="exceeds"):
+        build_s_prime(single_cycle(12), [0], 13)
+    assert images == []
+    assert build_s_prime(single_cycle(12), [0], 12).tau_prime == single_cycle(12).tau
 
 
 def test_manual_explicit_eps_can_fail_without_raising():

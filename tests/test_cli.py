@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cepskit import system
+from cepskit import suites, system
 from cepskit.cli import main
 from cepskit.generators import single_cycle, swap_example, with_single_block, \
     direct_product
@@ -186,6 +186,7 @@ def test_suite_command_and_repro(capsys):
 
 def test_suite_parallel_width(capsys, monkeypatch):
     monkeypatch.setenv("CEPSKIT_PARALLEL", "2")
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)  # the cap is not hit
     code, report = run(capsys, "suite", "poincare", "--trials", "8",
                        "--seed", "3")
     assert code == 0
@@ -290,6 +291,9 @@ def test_unreadable_system_file_is_exit_3(tmp_path, capsys, kind, command):
 @pytest.mark.parametrize("field, value, witness", [
     ("blocks", [[0, 1.9]], 1.9),
     ("tau", [True, False], True),
+    # Containers must be JSON arrays, not strings or objects.
+    ("weights", "11", "11"),
+    ("tau", {"0": 1, "1": 0}, {"0": 1, "1": 0}),
 ])
 def test_non_integer_indices_fail_parseable(tmp_path, capsys, field, value, witness):
     raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]], "tau": [1, 0]}
@@ -303,6 +307,25 @@ def test_non_integer_indices_fail_parseable(tmp_path, capsys, field, value, witn
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
     assert code == 2 and report["kind"] == "InvalidSystem"
     assert report["checks"][0]["witness"] == witness
+
+
+def test_height_equal_to_size_is_accepted(tmp_path, capsys):
+    path = tmp_path / "c12.json"
+    save(single_cycle(12), path)
+    code, report = run(capsys, "tower", "--system", str(path), "--p", "0", "--n", "12")
+    assert code == 0 and report["residual"] == []
+    code, report = run(capsys, "approx", "--system", str(path), "--manual",
+                       "--p", "0", "--n", "12")
+    assert code == 0 and report["tau_prime"] == list(single_cycle(12).tau)
+
+
+@pytest.mark.parametrize("raw, cpus, width", [
+    ("64", 2, 2), ("64", None, 1), ("3", 8, 3), ("0", 8, 1), ("x", 8, 1),
+])
+def test_parallel_width_is_capped_at_cpu_count(monkeypatch, raw, cpus, width):
+    monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+    assert suites._parallel_width() == width
 
 
 def test_huge_declared_size_gets_a_small_report(tmp_path, capsys):
@@ -324,12 +347,17 @@ def test_huge_declared_size_gets_a_small_report(tmp_path, capsys):
     ["kac", "--system", "{swap}", "--p", "5"],
     ["recurrent", "--system", "{swap}", "--p=-1", "--q", "0"],
     ["suite", "kac", "--trials", "0"],
-], ids=["kac-p-too-large", "recurrent-p-negative", "suite-zero-trials"])
-def test_out_of_range_arguments_are_exit_3(swap_file, capsys, argv):
-    code = main([arg.format(swap=swap_file) for arg in argv])
+    ["tower", "--system", "{c12}", "--p", "0", "--n", "13"],
+    ["approx", "--system", "{c12}", "--manual", "--p", "0", "--n", "13"],
+], ids=["kac-p-too-large", "recurrent-p-negative", "suite-zero-trials",
+        "tower-n-above-size", "approx-manual-n-above-size"])
+def test_out_of_range_arguments_are_exit_3(swap_file, tmp_path, capsys, argv):
+    c12 = tmp_path / "c12.json"
+    save(single_cycle(12), c12)
+    code = main([arg.format(swap=swap_file, c12=c12) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.strip() and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
@@ -363,6 +391,13 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
             counts["expectation while validating"] += 1
         return real_expectation(self, f)
 
+    real_component_expectation = GroundSystem.component_expectation
+
+    def counting_component_expectation(self, c):
+        if validating:
+            counts["component_expectation while validating"] += 1
+        return real_component_expectation(self, c)
+
     real_post_init = GroundSystem.__post_init__
 
     def counting_post_init(self, check_axioms):
@@ -372,9 +407,13 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(system, "validate_ceps", counting_validate)
     monkeypatch.setattr(GroundSystem, "expectation", counting_expectation)
+    monkeypatch.setattr(GroundSystem, "component_expectation",
+                        counting_component_expectation)
     monkeypatch.setattr(GroundSystem, "__post_init__", counting_post_init)
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
     assert code == 0 and report["equal"] is True
-    # Te = e once, then T(S chi_m) and T(chi_m) for each of the n points.
+    # Dense Te = e once, then sparse T(S chi_m) and T(chi_m) for each of the
+    # n points: one extensional pass.
     assert counts == {"open": 1, "validate_ceps": 1, "construct": 1,
-                      "expectation while validating": 2 * n + 1}
+                      "expectation while validating": 1,
+                      "component_expectation while validating": 2 * n}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cepskit.errors import DomainError, NotConditionallyErgodic
+from cepskit.errors import DimensionError, DomainError, NotConditionallyErgodic
 from cepskit.generators import (
     RandomSpec,
     direct_product,
@@ -181,3 +181,14 @@ def test_kac_scalar_shadow_on_single_cycles():
     c9 = single_cycle(9)
     decomp = return_decomposition(c9, [0, 4, 7])
     assert sum(k * len(qk) for k, qk in decomp.parts.items()) == 9
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys: kac_certificate(sys, {5}),
+    lambda sys: return_decomposition(sys, {-1}),
+    lambda sys: check_recurrent(sys, {2}, {0}),
+    lambda sys: check_recurrent(sys, {0}, {-1}),
+], ids=["kac", "decomposition", "recurrent-p", "recurrent-q"])
+def test_components_off_omega_raise_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call(swap_example())

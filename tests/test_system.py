@@ -84,6 +84,11 @@ def test_from_raw_force_admits_axiom_violations_only():
 @pytest.mark.parametrize("field, value, witness", [
     ("blocks", [[0, "1"]], "1"),
     ("tau", [1.0, 0], 1.0),
+    # weights, blocks, each block and tau must be JSON arrays.
+    ("weights", "11", "11"),
+    ("tau", {"0": 1, "1": 0}, {"0": 1, "1": 0}),
+    ("blocks", "01", "01"),
+    ("blocks", [[0, 1], {}], {}),
 ])
 def test_indices_must_be_json_integers(field, value, witness):
     raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]], "tau": [1, 0]}
@@ -91,6 +96,16 @@ def test_indices_must_be_json_integers(field, value, witness):
     (check,) = validate_ceps(raw).checks
     assert (check.name, check.passed) == ("parseable", False)
     assert check.witness == witness and type(check.witness) is type(witness)
+
+
+@pytest.mark.parametrize("bad", [{2}, {-1}, {0, 5}, {"0"}])
+def test_component_refuses_members_off_omega(bad):
+    swap = swap_example()
+    with pytest.raises(DimensionError):
+        swap.component(bad)
+    with pytest.raises(DimensionError):
+        swap.component_expectation(bad)
+    assert swap.component([1, 0]) == frozenset([0, 1])
 
 
 def test_report_carries_the_system_it_checked():

@@ -5,6 +5,7 @@ from math import floor
 import pytest
 
 from cepskit.errors import (
+    DimensionError,
     DomainError,
     NotAperiodicAtHorizon,
     NotConditionallyErgodic,
@@ -69,6 +70,8 @@ def test_tower_rejects_non_ergodic_and_bad_height():
         build_tower(merged, [0], 2)
     with pytest.raises(DomainError):
         build_tower(swap_example(), [0], 0)
+    with pytest.raises(DimensionError):
+        build_tower(swap_example(), [5], 1)
 
 
 def test_empty_base_gives_degenerate_tower():
