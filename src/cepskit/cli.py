@@ -9,8 +9,14 @@ exit-code taxonomy separates defects from expected refusals:
     2  precondition / validation rejection (e.g. the counterexamples)
     3  malformed input
 
-Environment variables: CEPSKIT_SEED overrides the default --seed,
-CEPSKIT_PARALLEL sets the suite parallelism width (at most the CPU count).
+The verdicts (kac, decompose, recurrent, tower, tower-eps, tower-ls, aperiodic,
+approx) load --system once and share one envelope, {"scenario", "inputs":
+{"system_digest", ...}, ..., "timing_seconds"}; timing_seconds leaves out the
+load. validate, gen, suite and demo-paper-examples build their own reports.
+
+Environment variables: CEPSKIT_SEED overrides the default --seed (an integer;
+anything else is exit 3), CEPSKIT_PARALLEL sets the suite parallelism width
+(at most the CPU count).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import time
 from fractions import Fraction
 
 from . import system as system_mod
-from .approx import approximate_periodic, build_s_prime, distance_profile
+from .approx import approximate_periodic, build_s_prime
 from .demos import paper_examples_report
 from .errors import (
     CepsError,
@@ -53,14 +59,6 @@ from .tower import build_tower, build_tower_eps, build_tower_eps_ls, n_aperiodic
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; the taxonomy wants 3
         raise MalformedInput(f"{message}\n{self.format_usage()}")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("CEPSKIT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _parse_indices(raw: str, size: int) -> frozenset[int]:
@@ -120,15 +118,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cepskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
+    seed = os.environ.get("CEPSKIT_SEED", "0")  # argparse applies type=int to it
+
+    def common(p, system=True, force=True):
         if system:
             p.add_argument("--system", required=True, help="system JSON file")
+        if system and force:
             p.add_argument("--force", action="store_true",
                            help="load even if validation fails (demos)")
         p.add_argument("--out", help="also write the JSON report here")
         return p
 
-    common(sub.add_parser("validate", help="validate a system file"))
+    common(sub.add_parser("validate", help="validate a system file"), force=False)
 
     gen = common(sub.add_parser("gen", help="generate a system file"), system=False)
     gen.add_argument("--kind", required=True,
@@ -137,7 +138,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--cycles", help="CSV of cycle lengths (kind=product)")
     gen.add_argument("--truncated", type=int,
                      help="product of cycles 1..M (kind=product)")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=seed)
     gen.add_argument("--num-blocks", default="1:3")
     gen.add_argument("--cycle-lengths", default="1:8")
     gen.add_argument("--denom-bound", type=int, default=12)
@@ -180,14 +181,14 @@ def build_parser() -> _Parser:
     px.add_argument("--p")
     px.add_argument("--n", type=int)
     px.add_argument("--samples", type=int, default=10_000)
-    px.add_argument("--seed", type=int, default=None)
+    px.add_argument("--seed", type=int, default=seed)
     px.add_argument("--csv", help="write the worst distance profile as CSV")
 
     su = common(sub.add_parser("suite", help="seeded property suites"),
                 system=False)
     su.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
     su.add_argument("--trials", type=int, default=100)
-    su.add_argument("--seed", type=int, default=None)
+    su.add_argument("--seed", type=int, default=seed)
     su.add_argument("--first-trial", type=int, default=0)
 
     common(sub.add_parser("demo-paper-examples",
@@ -203,7 +204,6 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.kind == "cycle":
         if args.m is None:
             raise MalformedInput("gen --kind cycle needs --m")
@@ -223,7 +223,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
             raise MalformedInput("gen --kind product needs --cycles or --truncated")
     else:
         spec = RandomSpec(
-            seed=seed,
+            seed=args.seed,
             num_blocks=_parse_range(args.num_blocks),
             cycle_lengths=_parse_range(args.cycle_lengths),
             weight_denominator_bound=args.denom_bound,
@@ -242,133 +242,81 @@ def _cmd_gen(args) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_kac(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_kac(args, sys) -> tuple[int, dict, dict]:
     p = _parse_indices(args.p, sys.size)
-    started = time.perf_counter()
     lhs, rhs, ok = kac_certificate(sys, p)
-    payload = {
-        "scenario": "kac",
-        "inputs": {"system_digest": sys.digest(), "p": sorted(p)},
+    return (0 if ok else 1), {"p": sorted(p)}, {
         "Tn(p)": [format_rational(a) for a in lhs],
         "P_Tp_e": [format_rational(a) for a in rhs],
         "equal": ok,
         "outcome": "pass" if ok else "fail",
-        "timing_seconds": round(time.perf_counter() - started, 6),
     }
-    return (0 if ok else 1), payload
 
 
-def _cmd_decompose(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_decompose(args, sys) -> tuple[int, dict, dict]:
     p = _parse_indices(args.p, sys.size)
     decomp = return_decomposition(sys, p)
     n_p = first_return_time(sys, p)
-    kac_ok = None
-    if sys.is_conditionally_ergodic():
-        _, _, kac_ok = kac_certificate(sys, p)
-    payload = {
-        "scenario": "decompose",
-        "inputs": {"system_digest": sys.digest()},
+    kac_ok = kac_certificate(sys, p)[2] if sys.is_conditionally_ergodic() else None
+    return (0 if kac_ok is None or kac_ok else 1), {}, {
         "p": sorted(p),
         "parts": {str(k): sorted(v) for k, v in sorted(decomp.parts.items())},
         "horizon": decomp.horizon,
         "n_of_p": [format_rational(a) for a in n_p],
         "kac_ok": kac_ok,
     }
-    code = 0 if (kac_ok is None or kac_ok) else 1
-    return code, payload
 
 
-def _cmd_recurrent(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_recurrent(args, sys) -> tuple[int, dict, dict]:
     p = _parse_indices(args.p, sys.size)
     q = _parse_indices(args.q, sys.size)
     result = check_recurrent(sys, p, q)
-    return 0, {
-        "scenario": "recurrent",
-        "inputs": {"system_digest": sys.digest(), "p": sorted(p), "q": sorted(q)},
-        "recurrent": result,
-    }
+    return 0, {"p": sorted(p), "q": sorted(q)}, {"recurrent": result}
 
 
-def _tower_payload(scenario, sys, t, extra_inputs, started) -> dict:
-    return {
-        "scenario": scenario,
-        "inputs": {"system_digest": sys.digest(), **extra_inputs},
-        **t.as_dict(),
-        "outcome": "pass",
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
+def _tower_body(sys, t, csv_path) -> dict:
+    """A tower's report body; with a csv_path, also write its level masses."""
+    if csv_path:
+        rows = []
+        for i, level in enumerate(t.levels):
+            mass = sys.expectation(sys.indicator(level))
+            per_block = [format_rational(mass[sorted(b)[0]]) for b in sys.blocks]
+            rows.append([i, " ".join(map(str, sorted(level))), " ".join(per_block)])
+        _write_csv(csv_path, ["level", "members", "mass_per_block"], rows)
+    return {**t.as_dict(), "outcome": "pass"}
 
 
-def _tower_csv(path, sys, t) -> None:
-    header = ["level", "members", "mass_per_block"]
-    rows = []
-    for i, level in enumerate(t.levels):
-        mass = sys.expectation(sys.indicator(level))
-        per_block = [format_rational(mass[sorted(b)[0]]) for b in sys.blocks]
-        rows.append([i, " ".join(map(str, sorted(level))), " ".join(per_block)])
-    _write_csv(path, header, rows)
-
-
-def _cmd_tower(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_tower(args, sys) -> tuple[int, dict, dict]:
     p = _parse_indices(args.p, sys.size)
     _check_height(args.n, sys.size)
-    started = time.perf_counter()
     t = build_tower(sys, p, args.n)
-    if args.csv:
-        _tower_csv(args.csv, sys, t)
-    return 0, _tower_payload("tower", sys, t, {"p": sorted(p), "n": args.n},
-                             started)
+    return 0, {"p": sorted(p), "n": args.n}, _tower_body(sys, t, args.csv)
 
 
-def _cmd_tower_eps(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_tower_eps(args, sys) -> tuple[int, dict, dict]:
     eps = _parse_eps(args.eps)
-    started = time.perf_counter()
     t = build_tower_eps(sys, args.n, eps)
-    if args.csv:
-        _tower_csv(args.csv, sys, t)
-    return 0, _tower_payload(
-        "tower-eps", sys, t, {"n": args.n, "eps": format_rational(eps)}, started
-    )
+    return 0, {"n": args.n, "eps": format_rational(eps)}, _tower_body(sys, t, args.csv)
 
 
-def _cmd_tower_ls(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_tower_ls(args, sys) -> tuple[int, dict, dict]:
     eps = _parse_eps(args.eps)
     v = _parse_indices(args.v, sys.size)
-    started = time.perf_counter()
     t = build_tower_eps_ls(sys, v, args.n, eps)
-    return 0, _tower_payload(
-        "tower-ls", sys, t,
-        {"v": sorted(v), "n": args.n, "eps": format_rational(eps)}, started,
-    )
+    inputs = {"v": sorted(v), "n": args.n, "eps": format_rational(eps)}
+    return 0, inputs, _tower_body(sys, t, None)
 
 
-def _cmd_aperiodic(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
+def _cmd_aperiodic(args, sys) -> tuple[int, dict, dict]:
     v = _parse_indices(args.v, sys.size)
-    results = {}
     modes = ["criterion", "definitional"] if args.mode == "both" else [args.mode]
-    for mode in modes:
-        results[mode] = n_aperiodic(sys, v, args.horizon, mode=mode)
-    payload = {
-        "scenario": "aperiodic",
-        "inputs": {"system_digest": sys.digest(), "v": sorted(v),
-                   "N": args.horizon},
-        "results": results,
-        "agree": len(set(results.values())) == 1,
-    }
-    return (0 if payload["agree"] else 1), payload
+    results = {mode: n_aperiodic(sys, v, args.horizon, mode=mode) for mode in modes}
+    agree = len(set(results.values())) == 1
+    inputs = {"v": sorted(v), "N": args.horizon}
+    return (0 if agree else 1), inputs, {"results": results, "agree": agree}
 
 
-def _cmd_approx(args) -> tuple[int, dict]:
-    sys = system_mod.load(args.system, args.force)
-    seed = args.seed if args.seed is not None else _default_seed()
-    started = time.perf_counter()
+def _cmd_approx(args, sys) -> tuple[int, dict, dict]:
     if args.manual:
         if args.p is None or args.n is None:
             raise MalformedInput("approx --manual needs --p and --n")
@@ -376,37 +324,28 @@ def _cmd_approx(args) -> tuple[int, dict]:
         eps = _parse_eps(args.eps) if args.eps else None
         result = build_s_prime(
             sys, _parse_indices(args.p, sys.size), args.n, eps=eps,
-            samples=args.samples, seed=seed,
+            samples=args.samples, seed=args.seed,
         )
     else:
         if args.eps is None:
             raise MalformedInput("approx needs --eps (or --manual)")
         result = approximate_periodic(
-            sys, _parse_eps(args.eps), samples=args.samples, seed=seed
+            sys, _parse_eps(args.eps), samples=args.samples, seed=args.seed
         )
-    payload = {
-        "scenario": "approx",
-        "inputs": {"system_digest": sys.digest(), "manual": args.manual,
-                   "seed": seed},
-        **result.as_dict(),
-        "outcome": "pass" if result.certificate.holds else "fail",
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
+    holds = result.certificate.holds
     if args.csv:
         worst = result.certificate.worst_observed
-        _write_csv(
-            args.csv,
-            ["coordinate", "worst_distance"],
-            [[i, format_rational(worst[i])] for i in range(len(worst))],
-        )
-    return (0 if result.certificate.holds else 1), payload
+        _write_csv(args.csv, ["coordinate", "worst_distance"],
+                   [[i, format_rational(w)] for i, w in enumerate(worst)])
+    return (0 if holds else 1), {"manual": args.manual, "seed": args.seed}, {
+        **result.as_dict(), "outcome": "pass" if holds else "fail",
+    }
 
 
 def _cmd_suite(args) -> tuple[int, dict]:
     if args.trials < 1:
         raise MalformedInput(f"suite --trials must be >= 1, got {args.trials}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(args.name, args.trials, seed, first_trial=args.first_trial)
+    report = run_suite(args.name, args.trials, args.seed, first_trial=args.first_trial)
     return (0 if report["outcome"] == "pass" else 1), report
 
 
@@ -415,9 +354,8 @@ def _cmd_demo(args) -> tuple[int, dict]:
     return (0 if report["outcome"] == "pass" else 1), report
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gen": _cmd_gen,
+# Verdicts run on a loaded system and report through _verdict's envelope.
+_VERDICTS = {
     "kac": _cmd_kac,
     "decompose": _cmd_decompose,
     "recurrent": _cmd_recurrent,
@@ -426,16 +364,41 @@ _HANDLERS = {
     "tower-ls": _cmd_tower_ls,
     "aperiodic": _cmd_aperiodic,
     "approx": _cmd_approx,
+}
+
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "gen": _cmd_gen,
     "suite": _cmd_suite,
     "demo-paper-examples": _cmd_demo,
 }
+
+
+def _verdict(handler, args) -> tuple[int, dict]:
+    """Load --system once, run the handler and wrap its report in the envelope.
+
+    timing_seconds covers the handler (argument checks, construction,
+    certificates, any --csv write), not the load.
+    """
+    sys = system_mod.load(args.system, args.force)
+    started = time.perf_counter()
+    code, inputs, body = handler(args, sys)
+    elapsed = round(time.perf_counter() - started, 6)
+    return code, {
+        "scenario": args.command,
+        "inputs": {"system_digest": sys.digest(), **inputs},
+        **body,
+        "timing_seconds": elapsed,
+    }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, report = _HANDLERS[args.command](args)
+        verdict = _VERDICTS.get(args.command)
+        code, report = (_verdict(verdict, args) if verdict
+                        else _COMMANDS[args.command](args))
         # For gen, --out is the system file itself (already written).
         out = None if args.command == "gen" else getattr(args, "out", None)
         _emit(report, out)

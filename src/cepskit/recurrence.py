@@ -32,7 +32,7 @@ def q_component(sys: GroundSystem, p: Iterable[int], k: int) -> Component:
     """The maximal component of p recurrent at exactly k iterates of S."""
     if k < 1:
         raise DomainError(f"recurrence index must be >= 1, got {k}")
-    p = as_component(p)
+    p = sys.component(p)
     result = p & sys.component_image(-k, p)
     for j in range(1, k):
         if not result:

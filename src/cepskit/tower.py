@@ -193,7 +193,7 @@ def n_aperiodic(
     k >= N and a component u <= c with q(u,k) nonzero. Exhaustive, hence
     refused for |Omega| > 12. The two modes agree wherever both run.
     """
-    v = as_component(v)
+    v = sys.component(v)
     if not v:
         raise DomainError("n_aperiodic needs a nonzero component v")
     if horizon < 1:
@@ -324,7 +324,7 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
     eps = as_rational(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {format_rational(eps)}")
-    v = as_component(v)
+    v = sys.component(v)
     if not v:
         raise DomainError("v must be a nonzero orbit-invariant component")
     if sys.component_image(1, v) != v:

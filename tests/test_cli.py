@@ -417,3 +417,55 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
     assert counts == {"open": 1, "validate_ceps": 1, "construct": 1,
                       "expectation while validating": 1,
                       "component_expectation while validating": 2 * n}
+
+
+# -- one verdict path --
+
+_C12_ALL = ",".join(map(str, range(12)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["kac", "--system", "{swap}", "--p", "0"],
+    ["decompose", "--system", "{c12}", "--p", "0,5"],
+    ["recurrent", "--system", "{swap}", "--p", "0", "--q", "1"],
+    ["tower", "--system", "{c12}", "--p", "0", "--n", "3"],
+    ["tower-eps", "--system", "{c12}", "--n", "2", "--eps", "1/5"],
+    ["tower-ls", "--system", "{c12}", "--v", _C12_ALL, "--n", "2", "--eps", "1/5"],
+    ["aperiodic", "--system", "{c12}", "--v", "0", "--N", "3"],
+    ["approx", "--system", "{c12}", "--manual", "--p", "0", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_every_verdict_shares_the_envelope(swap_file, tmp_path, capsys, argv):
+    c12 = tmp_path / "c12.json"
+    save(single_cycle(12), c12)
+    digests = {"{swap}": swap_example().digest(), "{c12}": single_cycle(12).digest()}
+    code, report = run(capsys, *(a.format(swap=swap_file, c12=c12) for a in argv))
+    assert code == 0
+    keys = list(report)
+    assert keys[:2] == ["scenario", "inputs"] and keys[-1] == "timing_seconds"
+    assert report["scenario"] == argv[0]
+    assert report["inputs"]["system_digest"] == digests[argv[2]]
+    timing = report["timing_seconds"]
+    assert isinstance(timing, (int, float)) and timing >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "kac", "--trials", "1"],
+    ["gen", "--kind", "cycle", "--m", "3"],
+    ["approx", "--system", "{swap}", "--manual", "--p", "0", "--n", "1"],
+], ids=lambda argv: argv[0])
+def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
+    monkeypatch.setenv("CEPSKIT_SEED", "abc")
+    code = main([a.format(swap=swap_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: argument --seed: invalid int value")
+    # A command without --seed does not read the variable.
+    code, report = run(capsys, "kac", "--system", swap_file, "--p", "0")
+    assert code == 0 and report["equal"] is True
+
+
+def test_validate_takes_no_force(swap_file, capsys):
+    code = main(["validate", "--system", swap_file, "--force"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--force" in captured.err

@@ -188,7 +188,11 @@ def test_kac_scalar_shadow_on_single_cycles():
     lambda sys: return_decomposition(sys, {-1}),
     lambda sys: check_recurrent(sys, {2}, {0}),
     lambda sys: check_recurrent(sys, {0}, {-1}),
-], ids=["kac", "decomposition", "recurrent-p", "recurrent-q"])
+    lambda sys: q_component(sys, {5}, 1),
+    # A negative index would otherwise wrap to the last point of Omega.
+    lambda sys: q_component(sys, {-1}, 1),
+], ids=["kac", "decomposition", "recurrent-p", "recurrent-q", "q-component-too-large",
+        "q-component-negative"])
 def test_components_off_omega_raise_dimension_error(call):
     with pytest.raises(DimensionError):
         call(swap_example())

@@ -247,3 +247,13 @@ def test_tower_eps_ls_names_short_cycle_in_callers_indices():
     with pytest.raises(NotAperiodicAtHorizon) as info:
         build_tower_eps_ls(merged, range(12, 15), 2, F(1, 5))
     assert info.value.cycle == (12, 13, 14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: n_aperiodic(swap_example(), {5}, 1),
+    lambda: n_aperiodic(swap_example(), {-1}, 1),
+    lambda: build_tower_eps_ls(single_cycle(12), {5, 99}, 2, "1/5"),
+], ids=["aperiodic-too-large", "aperiodic-negative", "tower-ls-v"])
+def test_components_off_omega_raise_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call()
