@@ -27,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 from typing import Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import Component, LatticeElement, as_component, band_project, elem
+from .lattice import ZERO, Component, LatticeElement, as_component, band_project, elem
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -167,10 +167,12 @@ def build_s_prime(
             f"tau' has a cycle of length {max_cycle} > period bound {n}"
         )
 
-    e = sys.unit
-    tp = sys.expectation(sys.indicator(p))
-    t_residual = sys.expectation(sys.indicator(complement))
-    majorant_element = 2 * tp + 2 * t_residual
+    tp = sys.component_expectation(p)
+    t_residual = sys.component_expectation(complement)
+    majorant_element = sys.block_element({
+        b: 2 * tp.get(b, ZERO) + 2 * t_residual.get(b, ZERO)
+        for b in tp.keys() | t_residual.keys()
+    })
     if eps is None:
         eps = max(majorant_element)
     eps = as_rational(eps)
@@ -292,9 +294,7 @@ def _scan_components(sys: GroundSystem, tau_prime, eps, masks):
     acc_b / mass_b is compared with eps by cross-multiplication; the worst
     value per block is a Fraction only on the way out.
     """
-    scale = lcm(*(w.denominator for w in sys.weights))
-    weight = [w.numerator * (scale // w.denominator) for w in sys.weights]
-    mass = [sum(weight[i] for i in block) for block in sys.blocks]
+    weight, mass = sys.scaled_weights
     diff = [
         (sys.tau[x], tau_prime[x], sys.block_of[x], weight[x])
         for x in range(sys.size)

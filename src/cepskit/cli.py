@@ -22,6 +22,7 @@ anything else is exit 3), CEPSKIT_PARALLEL sets the suite parallelism width
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -49,6 +50,7 @@ from .generators import (
     swap_example,
     truncated_counterexample,
 )
+from .lattice import ZERO
 from .rationals import format_rational
 from .recurrence import first_return_time, kac_certificate, return_decomposition, \
     check_recurrent
@@ -99,16 +101,26 @@ def _parse_range(raw: str) -> tuple[int, int]:
         raise MalformedInput(f"bad range {raw!r} (expected LO:HI): {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An output file (--out, --csv) that cannot be written is exit 3."""
+    try:
+        yield
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, out: str | None) -> None:
+    """Write the report to --out, if given, then print it."""
     text = json.dumps(report, indent=2)
-    print(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -237,7 +249,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
         "system": sys.as_dict(),
     }
     if args.out:
-        system_mod.save(sys, args.out)
+        with _writing(args.out):
+            system_mod.save(sys, args.out)
         payload["written"] = args.out
     return 0, payload
 
@@ -279,8 +292,9 @@ def _tower_body(sys, t, csv_path) -> dict:
     if csv_path:
         rows = []
         for i, level in enumerate(t.levels):
-            mass = sys.expectation(sys.indicator(level))
-            per_block = [format_rational(mass[sorted(b)[0]]) for b in sys.blocks]
+            mass = sys.component_expectation(level)
+            per_block = [format_rational(mass.get(b, ZERO))
+                         for b in range(len(sys.blocks))]
             rows.append([i, " ".join(map(str, sorted(level))), " ".join(per_block)])
         _write_csv(csv_path, ["level", "members", "mass_per_block"], rows)
     return {**t.as_dict(), "outcome": "pass"}
@@ -392,29 +406,29 @@ def _verdict(handler, args) -> tuple[int, dict]:
     }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(args) -> tuple[int, dict]:
+    """Exit code and report of a parsed command; exit 1 and 2 become reports."""
     try:
-        args = parser.parse_args(argv)
         verdict = _VERDICTS.get(args.command)
-        code, report = (_verdict(verdict, args) if verdict
-                        else _COMMANDS[args.command](args))
-        # For gen, --out is the system file itself (already written).
-        out = None if args.command == "gen" else getattr(args, "out", None)
-        _emit(report, out)
-        return code
+        return (_verdict(verdict, args) if verdict
+                else _COMMANDS[args.command](args))
     except TheoremViolation as exc:
-        _emit({"outcome": "theorem-violation", "error": str(exc)},
-              getattr(args, "out", None))
-        return 1
+        return 1, {"outcome": "theorem-violation", "error": str(exc)}
     except (DomainError, NotConditionallyErgodic, NotAperiodicAtHorizon) as exc:
-        _emit({"outcome": "rejected", "kind": type(exc).__name__,
-               "error": str(exc)}, getattr(args, "out", None))
-        return 2
+        return 2, {"outcome": "rejected", "kind": type(exc).__name__,
+                   "error": str(exc)}
     except InvalidSystem as exc:
-        _emit({"outcome": "rejected", "kind": "InvalidSystem",
-               **exc.report.as_dict()}, getattr(args, "out", None))
-        return 2
+        return 2, {"outcome": "rejected", "kind": "InvalidSystem",
+                   **exc.report.as_dict()}
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        code, report = _run(args)
+        # A generated system is itself gen's --out file (already written).
+        _emit(report, None if args.command == "gen" and code == 0 else args.out)
+        return code
     except CepsError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

@@ -2,8 +2,12 @@
 
 Everything here recomputes a quantity by brute force - explicit point
 trajectories, stepwise operator application, exhaustive enumeration -
-without touching the lattice formulas or cycle-decomposition shortcuts
-used by the constructions. The property suites and the test suite compare
+without touching the lattice formulas or the cycle-position kernels used
+by the constructions: ``return_decomposition`` (first returns as backward
+gaps between points of p on a tau-cycle), ``check_recurrent`` (cycles
+meeting q), the ``build_tower`` base, ``tau_power`` and the per-block T of
+``component_expectation``. Only ``tau``, its inverse, the weights and
+the blocks are read here. The property suites and the test suite compare
 the two routes; nothing in the construction modules imports this one.
 
 Direction of the point flow: the first-return formula

@@ -5,9 +5,13 @@ exactly k steps is
 
     q(p,k) = p ^ S^{-k}p ^ (e - join_{j=1}^{k-1} S^{-j}p),
 
-with the empty join at k = 1 taken as 0. Everything is computed by this
-lattice formula via ``component_image``; the trajectory simulation lives
-in oracles.py and is used only to cross-check.
+with the empty join at k = 1 taken as 0. ``q_component`` evaluates this
+lattice formula via ``component_image`` and is kept as the reference. The
+production routes read the same sets off the cycle decomposition: S^j
+acts on components as tau^{-j}, so x lies in q(p,k) exactly when the
+previous point of p on the tau-cycle of x sits k positions back (a lone
+point of p on its cycle returns after the whole cycle). The trajectory
+simulation lives in oracles.py and is used only to cross-check.
 
 The sums are finite here: q(p,k) = 0 once k exceeds the longest tau-cycle
 meeting p, because a point returns to p no later than its cycle closes.
@@ -16,10 +20,11 @@ meeting p, because a point returns to p no later than its cycle closes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .lattice import Component, LatticeElement, as_component, band_project, elem
+from .lattice import ONE, ZERO, Component, LatticeElement, as_component, elem
 from .system import GroundSystem
 
 
@@ -62,18 +67,27 @@ class ReturnDecomposition:
 
 
 def return_decomposition(sys: GroundSystem, p: Iterable[int]) -> ReturnDecomposition:
-    """All nonzero q(p,k); their disjoint union is exactly p (Poincare)."""
+    """All nonzero q(p,k); their disjoint union is exactly p (Poincare).
+
+    Reads each point's k off the cycle positions of p: the backward gap to
+    the previous point of p on its cycle, or the cycle length for a lone
+    point. O(|p| log |p|); parts are ordered by ascending k.
+    """
     p = sys.component(p)
-    parts: dict[int, Component] = {}
-    remaining = set(p)
-    for k in range(1, max_cycle_length_meeting(sys, p) + 1):
-        if not remaining:
-            break
-        qk = q_component(sys, p, k)
-        if qk:
-            parts[k] = qk
-            remaining -= qk
-    return ReturnDecomposition(base=p, parts=parts)
+    on_cycle: dict[int, list[int]] = {}
+    for x in p:
+        on_cycle.setdefault(sys.cycle_of[x], []).append(sys.position_in_cycle[x])
+    parts: dict[int, set[int]] = {}
+    for c, positions in on_cycle.items():
+        cyc = sys.cycles[c]
+        positions.sort()
+        previous = positions[-1] - len(cyc)
+        for pos in positions:
+            parts.setdefault(pos - previous, set()).add(cyc[pos])
+            previous = pos
+    return ReturnDecomposition(
+        base=p, parts={k: frozenset(parts[k]) for k in sorted(parts)}
+    )
 
 
 def first_return_time(sys: GroundSystem, p: Iterable[int]) -> LatticeElement:
@@ -89,17 +103,15 @@ def first_return_time(sys: GroundSystem, p: Iterable[int]) -> LatticeElement:
 def check_recurrent(sys: GroundSystem, p: Iterable[int], q: Iterable[int]) -> bool:
     """Is p recurrent with respect to q, i.e. p <= join_{n>=1} S^{-n} q?
 
-    The infinite join stabilizes after max-cycle-length steps on a finite
-    system (each forward tau-image of q sweeps out the cycles meeting q),
-    so the union is taken up to that bound.
+    S^{-n} q = tau^n(q), and the union of tau^n(q) over n = 1..L sweeps out
+    the whole tau-cycle of length L through each point of q. So the join
+    is the union of the cycles meeting q, and p is recurrent exactly when
+    every cycle meeting p also meets q. O(|p| + |q|).
     """
     p = sys.component(p)
     q = sys.component(q)
-    union: set[int] = set()
-    steps = max((len(c) for c in sys.cycles), default=0)
-    for n in range(1, steps + 1):
-        union |= sys.component_image(-n, q)
-    return p <= union
+    meets_q = {sys.cycle_of[x] for x in q}
+    return all(sys.cycle_of[x] in meets_q for x in p)
 
 
 def disjointness_witnesses(
@@ -138,7 +150,12 @@ def kac_certificate(
     """
     sys.require_conditionally_ergodic()
     p = sys.component(p)
-    lhs = sys.expectation(first_return_time(sys, p))
-    tp = sys.expectation(sys.indicator(p))
-    rhs = band_project(tp.support(), sys.unit)
+    # T n(p) = sum_k k T q(p,k), taken block by block.
+    t_np: dict[int, Fraction] = {}
+    for k, qk in return_decomposition(sys, p).parts.items():
+        for b, t in sys.component_expectation(qk).items():
+            t_np[b] = t_np.get(b, ZERO) + k * t
+    lhs = sys.block_element(t_np)
+    # P_{Tp} e is e on the blocks p meets (weights are positive), 0 elsewhere.
+    rhs = sys.block_element(dict.fromkeys(sys.component_expectation(p), ONE))
     return lhs, rhs, lhs == rhs

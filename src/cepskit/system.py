@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
-from .lattice import Component, LatticeElement, as_component, indicator, ones
+from .lattice import ZERO, Component, LatticeElement, as_component, indicator, ones
 from .rationals import as_rational, format_rational
 
 
@@ -148,6 +148,18 @@ class GroundSystem:
                      for block in self.blocks)
 
     @cached_property
+    def scaled_weights(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Weights and block masses times the lcm of the weight denominators.
+
+        Both are integers, so block sums of weights need no Fraction
+        arithmetic; a ratio of two of them is the ratio of the rationals.
+        """
+        scale = lcm(*(w.denominator for w in self.weights))
+        weight = tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        mass = tuple(sum(weight[i] for i in block) for block in self.blocks)
+        return weight, mass
+
+    @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """tau-cycles as forward orbits, each starting at its minimum index."""
         return permutation_cycles(self.tau)
@@ -215,13 +227,23 @@ class GroundSystem:
 
         Blocks that c misses are omitted (their entry is 0), so two
         components have equal T exactly when their dicts are equal. Costs
-        O(|c|), against O(N) for the dense ``expectation``.
+        O(|c|) integer additions, against O(N) Fraction operations for the
+        dense ``expectation``.
         """
-        sums: dict[int, Fraction] = {}
+        weight, mass = self.scaled_weights
+        sums: dict[int, int] = {}
         for x in self.component(c):
             b = self.block_of[x]
-            sums[b] = sums.get(b, 0) + self.weights[x]
-        return {b: total / self.block_mass[b] for b, total in sums.items()}
+            sums[b] = sums.get(b, 0) + weight[x]
+        return {b: Fraction(total, mass[b]) for b, total in sums.items()}
+
+    def block_element(self, values: Mapping[int, Fraction]) -> LatticeElement:
+        """The dense element equal to values[b] on block b, 0 on blocks not listed.
+
+        Expands a block-constant result such as ``component_expectation``
+        into the LatticeElement a certificate stores.
+        """
+        return LatticeElement(tuple(values.get(b, ZERO) for b in self.block_of))
 
     def koopman(self, j: int, f: LatticeElement) -> LatticeElement:
         """S^j f, i.e. f o tau^j; j may be any integer since tau is a bijection."""

@@ -19,8 +19,10 @@ is precisely how the direct-product counterexample manifests at finite
 truncation.
 
 All inequalities are certified with both sides stored verbatim as exact
-rationals. Tower code applies S to components only through
-``component_image``; it never applies raw tau to sets.
+rationals. The base is read off cycle positions (S^j moves a point j
+places back along its tau-cycle), the levels come from
+``component_image``, and T of a component is taken block by block with
+``component_expectation`` before it is expanded into a certificate side.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import floor
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotAperiodicAtHorizon, TheoremViolation
-from .lattice import Component, LatticeElement, as_component, band_project
+from .lattice import ONE, ZERO, Component, LatticeElement, as_component
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
 from .system import GroundSystem
@@ -105,11 +107,6 @@ class Tower:
         }
 
 
-def _suffix_union(parts: dict[int, Component], k: int) -> Component:
-    """R_k = union of q(p,i) over i >= k."""
-    return frozenset().union(*(q for i, q in parts.items() if i >= k))
-
-
 def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     """The epsilon-free tower of height n over the returns of p.
 
@@ -122,29 +119,30 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     sys.require_conditionally_ergodic()
     p = sys.component(p)
 
-    decomp = return_decomposition(sys, p)
+    # x in q(p,k) lies in R_{n(j+1)} exactly for 0 <= j < k // n, and
+    # S^{nj} moves it n*j places back along its cycle.
     base: set[int] = set()
-    j = 0
-    while n * (j + 1) <= decomp.horizon:
-        r = _suffix_union(decomp.parts, n * (j + 1))
-        base |= sys.component_image(n * j, r)
-        j += 1
+    for k, qk in return_decomposition(sys, p).parts.items():
+        for x in qk:
+            cyc = sys.cycles[sys.cycle_of[x]]
+            pos = sys.position_in_cycle[x]
+            base.update(cyc[(pos - n * j) % len(cyc)] for j in range(k // n))
     base = frozenset(base)
 
     levels = tuple(sys.component_image(i, base) for i in range(n))
-    if sum(len(l) for l in levels) != len(frozenset().union(*levels)):
+    covered = frozenset().union(*levels)
+    if sum(len(l) for l in levels) != len(covered):
         raise TheoremViolation(
             f"tower levels over base {sorted(base)} are not pairwise disjoint"
         )
-    covered = frozenset().union(*levels)
     residual = sys.ground_set() - covered
 
-    tp = sys.expectation(sys.indicator(p))
-    p_tp_e = band_project(tp.support(), sys.unit)
+    # (P_{Tp}e - (n-1)Tp)^+ is max(1 - (n-1) Tp, 0) on the blocks p meets.
+    tp = sys.component_expectation(p)
     certificate = BoundCertificate(
         name="tower-mass-lower-bound",
-        lhs=sys.expectation(sys.indicator(covered)),
-        rhs=(p_tp_e - (n - 1) * tp).pos_part(),
+        lhs=sys.block_element(sys.component_expectation(covered)),
+        rhs=sys.block_element({b: max(ONE - (n - 1) * t, ZERO) for b, t in tp.items()}),
         relation=">=",
     )
     if not certificate.holds:
@@ -168,10 +166,12 @@ def proof_chain_identity(
     """T(join_{k<n} S^k q) against sum_i n*floor(i/n)*T q(p,i), exactly."""
     p = as_component(p)
     tower = build_tower(sys, p, n)
-    lhs = sys.expectation(sys.indicator(tower.covered()))
-    rhs = LatticeElement((Fraction(0),) * sys.size)
+    lhs = sys.block_element(sys.component_expectation(tower.covered()))
+    per_block: dict[int, Fraction] = {}
     for i, qi in return_decomposition(sys, p).parts.items():
-        rhs = rhs + (n * (i // n)) * sys.expectation(sys.indicator(qi))
+        for b, t in sys.component_expectation(qi).items():
+            per_block[b] = per_block.get(b, ZERO) + n * (i // n) * t
+    rhs = sys.block_element(per_block)
     return lhs, rhs, lhs == rhs
 
 
@@ -245,8 +245,7 @@ def find_base_component(sys: GroundSystem, horizon: int) -> Component:
             f"iterates of base component {sorted(c_n)} are not disjoint up to "
             f"horizon {horizon}"
         )
-    t_cn = sys.expectation(sys.indicator(c_n))
-    if t_cn.support() != sys.ground_set():
+    if len(sys.component_expectation(c_n)) != len(sys.blocks):
         raise TheoremViolation(
             f"T applied to base component {sorted(c_n)} lacks full support"
         )
@@ -275,7 +274,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
 
     residual_bound = BoundCertificate(
         name="residual-mass-bound",
-        lhs=sys.expectation(sys.indicator(tower.residual)),
+        lhs=sys.block_element(sys.component_expectation(tower.residual)),
         rhs=eps * sys.unit,
         relation="<=",
     )
@@ -284,12 +283,12 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
             f"residual mass bound failed at eps = {format_rational(eps)}: "
             f"T(residual) = {residual_bound.lhs!r}"
         )
-    tp = sys.expectation(sys.indicator(p))
+    tp = sys.component_expectation(p)
     extras = [tower.bound_certificate]
     extras.append(
         BoundCertificate(
             name="base-mass-times-horizon",
-            lhs=horizon * tp,
+            lhs=sys.block_element({b: horizon * t for b, t in tp.items()}),
             rhs=sys.unit,
             relation="<=",
         )
@@ -298,7 +297,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
         extras.append(
             BoundCertificate(
                 name="base-mass-bound",
-                lhs=tp,
+                lhs=sys.block_element(tp),
                 rhs=(eps / (n - 1)) * sys.unit,
                 relation="<=",
             )

@@ -8,6 +8,7 @@ from cepskit import suites, system
 from cepskit.cli import main
 from cepskit.generators import single_cycle, swap_example, with_single_block, \
     direct_product
+from cepskit.rationals import format_rational
 from cepskit.system import GroundSystem, save
 
 
@@ -469,3 +470,74 @@ def test_validate_takes_no_force(swap_file, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: ") and "--force" in captured.err
+
+
+_VIOLATING = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0], [1]],
+              "tau": [1, 0]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kac", "--system", "{c12}", "--p", "0", "--out", "{missing}/x.json"],
+    ["tower", "--system", "{c12}", "--p", "0", "--n", "3", "--csv", "{missing}/x.csv"],
+    ["tower-eps", "--system", "{c12}", "--n", "2", "--eps", "1/5",
+     "--csv", "{missing}/x.csv"],
+    ["approx", "--system", "{c12}", "--manual", "--p", "0", "--n", "2",
+     "--csv", "{missing}/x.csv"],
+    ["gen", "--kind", "cycle", "--m", "3", "--out", "{missing}/x.json"],
+    ["validate", "--system", "{c12}", "--out", "{missing}/x.json"],
+    ["kac", "--system", "{c12}", "--p", "0", "--out", "{tmp}"],
+    # Reports that would exit 1 or 2.
+    ["kac", "--system", "{violating}", "--p", "0", "--force",
+     "--out", "{missing}/x.json"],
+    ["approx", "--system", "{c12}", "--manual", "--p", "0", "--n", "2",
+     "--eps", "1/5", "--csv", "{missing}/x.csv"],
+    ["kac", "--system", "{violating}", "--p", "0", "--out", "{missing}/x.json"],
+    ["tower-eps", "--system", "{c12}", "--n", "2", "--eps", "1/100",
+     "--out", "{missing}/x.json"],
+    ["gen", "--kind", "cycle", "--m", "0", "--out", "{missing}/x.json"],
+], ids=["kac-out", "tower-csv", "tower-eps-csv", "approx-csv", "gen-out",
+        "validate-out", "out-is-a-directory", "exit-1-out", "exit-1-csv",
+        "exit-2-invalid-out", "exit-2-rejected-out", "gen-exit-2-out"])
+def test_unwritable_output_is_exit_3(tmp_path, capsys, argv):
+    c12, violating = tmp_path / "c12.json", tmp_path / "violating.json"
+    save(single_cycle(12), c12)
+    violating.write_text(json.dumps(_VIOLATING))
+    argv = [a.format(c12=c12, violating=violating, tmp=tmp_path,
+                     missing=tmp_path / "missing-dir") for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing-dir").exists()
+
+
+def test_refusal_reports_reach_a_writable_out(tmp_path, capsys):
+    # Exit-1 and exit-2 reports go both to stdout and to --out.
+    violating = tmp_path / "violating.json"
+    violating.write_text(json.dumps(_VIOLATING))
+    out = tmp_path / "report.json"
+    for force, expected in ((["--force"], 1), ([], 2)):
+        code = main(["kac", "--system", str(violating), "--p", "0",
+                     "--out", str(out), *force])
+        printed = capsys.readouterr().out
+        assert code == expected
+        assert json.loads(printed) == json.loads(out.read_text())
+
+
+def test_tower_csv_level_masses_are_dense_t(tmp_path, capsys):
+    # Two blocks; every level of the tower over p = {0} misses the second.
+    sys = direct_product([single_cycle(5), single_cycle(3)])
+    path, csv_path = tmp_path / "prod.json", tmp_path / "levels.csv"
+    save(sys, path)
+    code, report = run(capsys, "tower", "--system", str(path), "--p", "0",
+                       "--n", "2", "--csv", str(csv_path))
+    assert code == 0
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "level,members,mass_per_block"
+    for i, level in enumerate(report["levels"]):
+        mass = sys.expectation(sys.indicator(level))
+        expected = " ".join(format_rational(mass[min(b)]) for b in sys.blocks)
+        members = " ".join(map(str, level))
+        assert rows[i + 1] == f"{i},{members},{expected}"
+    assert rows[1].endswith(" 0")

@@ -2,10 +2,12 @@
 
 Every verdict subcommand and ``validate`` is driven with arguments drawn
 around the edges of the ground set (indices out of range, negative or not
-integers, heights -1..13, bad rationals, --force on and off) on small
-files: valid, non-ergodic, axiom-violating and malformed. No exception may
-escape ``main``; exit 3 prints nothing on stdout and one ``error: `` line
-on stderr; every other exit prints exactly one JSON object.
+integers, heights -1..13, bad rationals, --force on and off, an --out or
+--csv in a directory that does not exist) on small files: valid,
+non-ergodic, axiom-violating and malformed. No exception may escape
+``main``; exit 3 prints nothing on stdout and one ``error: `` line on
+stderr; every other exit prints exactly one JSON object. An unwritable
+--out is always exit 3.
 """
 
 import contextlib
@@ -46,7 +48,9 @@ def files(tmp_path_factory):
     paths["violating"].write_text(json.dumps(AXIOM_VIOLATING))
     paths["malformed"] = root / "malformed.json"
     paths["malformed"].write_text("{not json")
-    return {name: str(path) for name, path in paths.items()}
+    files = {name: str(path) for name, path in paths.items()}
+    files["missing-dir"] = str(root / "missing-dir")
+    return files
 
 
 index = st.one_of(st.integers(-2, 13).map(str),
@@ -54,6 +58,7 @@ index = st.one_of(st.integers(-2, 13).map(str),
 index_list = st.lists(index, min_size=1, max_size=4).map(",".join)
 height = st.integers(-1, 13).map(str)
 eps = st.sampled_from(["1/5", "1/2", "2", "0", "-1/3", "1/0", "abc", ""])
+UNWRITABLE = "<missing-dir>/x"  # replaced by a path under a missing directory
 
 
 @st.composite
@@ -82,6 +87,10 @@ def argvs(draw, names):
         if draw(st.booleans()):
             argv += ["--eps", draw(eps)]
         argv += ["--samples", "20", "--seed", draw(st.integers(-3, 3).map(str))]
+    if command in ("tower", "tower-eps", "approx") and draw(st.booleans()):
+        argv += ["--csv", UNWRITABLE]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out", UNWRITABLE]
     if draw(st.booleans()):
         argv.append("--force")
     return argv
@@ -90,9 +99,11 @@ def argvs(draw, names):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_every_exit_is_in_the_taxonomy(files, data):
-    argv = data.draw(argvs(sorted(files)))
+    argv = data.draw(argvs(sorted(set(files) - {"missing-dir"})))
     force = "--force" in argv
     argv[2] = files[argv[2]]
+    unwritable_out = "--out" in argv
+    argv = [a.replace("<missing-dir>", files["missing-dir"]) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -101,6 +112,7 @@ def test_every_exit_is_in_the_taxonomy(files, data):
     if code == 3:
         assert out == "" and err.startswith("error: ")
         return
+    assert not unwritable_out
     assert err == ""
     report = json.loads(out)
     assert isinstance(report, dict)

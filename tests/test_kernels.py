@@ -2,12 +2,15 @@
 
 Each sparse or integer kernel on the production path is compared with the
 dense route it replaced: T and S' applied to every coordinate indicator,
-and a Fraction scan of the conditional distance. Systems are drawn from
-``random_system`` and from force-admitted candidates that break the CEPS
-axioms, all with at most 64 points.
+a Fraction scan of the conditional distance, the lattice formula for
+q(p,k), the forward-image sweep for recurrence, the suffix-union formula
+for the tower base, and dense T of indicators for every certificate side.
+Systems are drawn from ``random_system`` and from force-admitted
+candidates that break the CEPS axioms, all with at most 64 points.
 """
 
 from fractions import Fraction
+from math import floor
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,12 +19,28 @@ from cepskit.approx import (
     _check_ts_prime_equals_t,
     _extract_point_map,
     _scan_components,
+    build_s_prime,
     s_prime_operator,
 )
-from cepskit.errors import DomainError, TheoremViolation
+from cepskit.errors import CepsError, DomainError, TheoremViolation
 from cepskit.generators import RandomSpec, random_system
-from cepskit.lattice import LatticeElement
+from cepskit.lattice import LatticeElement, band_project, elem
+from cepskit.oracles import first_return_sets, forward_image_union
+from cepskit.recurrence import (
+    check_recurrent,
+    kac_certificate,
+    max_cycle_length_meeting,
+    q_component,
+    return_decomposition,
+)
 from cepskit.system import Check, GroundSystem, validate_ceps, validate_parts
+from cepskit.tower import (
+    BoundCertificate,
+    Tower,
+    build_tower,
+    build_tower_eps,
+    proof_chain_identity,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -92,6 +111,18 @@ systems = st.one_of(
 
 def subsets(size: int):
     return st.sets(st.integers(0, size - 1), max_size=size)
+
+
+def components(sys: GroundSystem):
+    """Random subsets, and the edge cases: empty, singletons, fixed points, Omega."""
+    fixed = frozenset(x for x in range(sys.size) if sys.tau[x] == x)
+    return st.one_of(
+        subsets(sys.size).map(frozenset),
+        st.just(frozenset()),
+        st.integers(0, sys.size - 1).map(lambda x: frozenset([x])),
+        st.just(fixed),
+        st.just(sys.ground_set()),
+    )
 
 
 # -- references: the dense loops the kernels replaced --
@@ -172,12 +203,84 @@ def fraction_scan(sys: GroundSystem, tau_prime, eps, masks):
     return profile, checked, all_ok
 
 
+def reference_parts(sys: GroundSystem, p) -> dict[int, frozenset]:
+    """Every nonzero q(p,k) by the lattice formula, k = 1..longest cycle."""
+    parts = {}
+    for k in range(1, max_cycle_length_meeting(sys, frozenset(p)) + 1):
+        qk = q_component(sys, p, k)
+        if qk:
+            parts[k] = qk
+    return parts
+
+
+def dense_t(sys: GroundSystem, c) -> LatticeElement:
+    return sys.expectation(sys.indicator(c))
+
+
+def reference_kac(sys: GroundSystem, p):
+    """T n(p) and P_{Tp}e with n(p) from the lattice formula and dense T."""
+    sys.require_conditionally_ergodic()
+    values = [0] * sys.size
+    for k, qk in reference_parts(sys, p).items():
+        for x in qk:
+            values[x] = k
+    lhs = sys.expectation(elem(values))
+    rhs = band_project(dense_t(sys, p).support(), sys.unit)
+    return lhs, rhs, lhs == rhs
+
+
+def reference_tower(sys: GroundSystem, p, n: int) -> Tower:
+    """build_tower by the suffix unions R_k = sum_{i>=k} q(p,i) and dense T."""
+    if n < 1:
+        raise DomainError(f"tower height must be >= 1, got {n}")
+    sys.require_conditionally_ergodic()
+    p = sys.component(p)
+    parts = reference_parts(sys, p)
+    horizon = max(parts, default=0)
+    base = set()
+    j = 0
+    while n * (j + 1) <= horizon:
+        r = frozenset().union(*(q for i, q in parts.items() if i >= n * (j + 1)))
+        base |= sys.component_image(n * j, r)
+        j += 1
+    base = frozenset(base)
+    levels = tuple(sys.component_image(i, base) for i in range(n))
+    covered = frozenset().union(*levels)
+    if sum(len(l) for l in levels) != len(covered):
+        raise TheoremViolation(
+            f"tower levels over base {sorted(base)} are not pairwise disjoint"
+        )
+    tp = dense_t(sys, p)
+    certificate = BoundCertificate(
+        name="tower-mass-lower-bound",
+        lhs=dense_t(sys, covered),
+        rhs=(band_project(tp.support(), sys.unit) - (n - 1) * tp).pos_part(),
+        relation=">=",
+    )
+    if not certificate.holds:
+        raise TheoremViolation(
+            f"tower mass bound failed: T(levels) = {certificate.lhs!r} is not >= "
+            f"{certificate.rhs!r}"
+        )
+    return Tower(base=base, height=n, levels=levels,
+                 residual=sys.ground_set() - covered,
+                 bound_certificate=certificate, degenerate=not p)
+
+
 def outcome(fn, *args):
     """A result, or the class and message of the TheoremViolation raised."""
     try:
         return fn(*args)
     except TheoremViolation as exc:
         return TheoremViolation, str(exc)
+
+
+def result_or_error(fn, *args):
+    """A result, or the class and message of any toolkit error raised."""
+    try:
+        return fn(*args)
+    except CepsError as exc:
+        return type(exc), str(exc)
 
 
 # -- the properties --
@@ -234,3 +337,96 @@ def test_ts_witness_is_first_failing_point():
     checks = validate_ceps(raw).checks
     assert checks == dense_validate(raw)
     assert Check("TS-equals-T-extensional", False, 1) in checks
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_return_decomposition_is_lattice_formula_and_trajectories(sys, data):
+    p = data.draw(components(sys))
+    parts = return_decomposition(sys, p).parts
+    assert parts == reference_parts(sys, p)
+    assert parts == first_return_sets(sys, p)
+    assert list(parts) == sorted(parts)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_check_recurrent_is_forward_image_sweep(sys, data):
+    p = data.draw(components(sys))
+    q = data.draw(components(sys))
+    steps = max(len(c) for c in sys.cycles)
+    assert check_recurrent(sys, p, q) == (p <= forward_image_union(sys, q, steps))
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_build_tower_is_suffix_union_formula(sys, data):
+    p = data.draw(components(sys))
+    n = data.draw(st.integers(0, 9))
+    assert result_or_error(build_tower, sys, p, n) \
+        == result_or_error(reference_tower, sys, p, n)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_kac_sides_are_dense_t(sys, data):
+    p = data.draw(components(sys))
+    assert result_or_error(kac_certificate, sys, p) \
+        == result_or_error(reference_kac, sys, p)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_proof_chain_sides_are_dense_t(sys, data):
+    p = data.draw(components(sys))
+    n = data.draw(st.integers(1, 9))
+
+    def reference(sys, p, n):
+        covered = reference_tower(sys, p, n).covered()
+        rhs = LatticeElement((Fraction(0),) * sys.size)
+        for i, qi in reference_parts(sys, p).items():
+            rhs = rhs + (n * (i // n)) * dense_t(sys, qi)
+        lhs = dense_t(sys, covered)
+        return lhs, rhs, lhs == rhs
+
+    assert result_or_error(proof_chain_identity, sys, p, n) \
+        == result_or_error(reference, sys, p, n)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_tower_eps_certificate_sides_are_dense_t(sys, data):
+    n = data.draw(st.integers(1, 4))
+    eps = data.draw(st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(1)]))
+    tower = result_or_error(build_tower_eps, sys, n, eps)
+    if isinstance(tower, tuple):  # refused, e.g. too short a cycle
+        return
+    horizon = floor((n - 1) / eps) + 1
+    p = frozenset(cyc[0] for cyc in sys.cycles)  # the base component c_N
+    inner = reference_tower(sys, p, n)
+    assert (tower.base, tower.levels, tower.residual) \
+        == (inner.base, inner.levels, inner.residual)
+    residual, *extras = (tower.bound_certificate, *tower.extra_certificates)
+    assert (residual.lhs, residual.rhs) == (dense_t(sys, tower.residual),
+                                            eps * sys.unit)
+    assert extras[0] == inner.bound_certificate
+    assert (extras[1].lhs, extras[1].rhs) == (horizon * dense_t(sys, p), sys.unit)
+    if n >= 2:
+        assert (extras[2].lhs, extras[2].rhs) \
+            == (dense_t(sys, p), (eps / (n - 1)) * sys.unit)
+    assert len(extras) == (3 if n >= 2 else 2)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_approx_majorant_is_dense_t(sys, data):
+    p = data.draw(components(sys))
+    n = data.draw(st.integers(2, 5))
+    result = result_or_error(build_s_prime, sys, p, n, None, 20)
+    if isinstance(result, tuple):  # refused or a theorem check failed
+        return
+    complement = sys.ground_set() - result.tower
+    majorant = 2 * dense_t(sys, p) + 2 * dense_t(sys, complement)
+    assert result.certificate.majorant.lhs == majorant
+    assert result.eps == max(majorant)
