@@ -18,13 +18,19 @@ certified per component u:
 
     T |(S - S')u| <= eps e,
 
-exhaustively over all 2^N components on small ground sets, otherwise by
-the exact analytic majorant 2Tp + 2T(e-h) plus a seeded random sample.
+by its exact supremum over all 2^N components, in closed form and O(N).
+The term of x in (S - S')chi_u is chi_u(tau x) - chi_u(tau' x), so it
+joins the points tau x and tau' x = sigma(tau x) with sigma = tau' o
+tau^{-1}; each point has at most one such edge out and one in, and the
+edges of a block are paths and cycles of sigma. Maximising over u is
+max-cut on them: every edge is cut except the lightest one of each odd
+sigma-cycle whose edges all lie in the block (a 2-cycle is cut whole),
+and each block is maximised on its own. The analytic majorant
+2Tp + 2T(e-h) is reported alongside as a second exact certificate.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -36,20 +42,17 @@ from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
 
-EXHAUSTIVE_LIMIT = 16  # 2^N component scans are feasible up to here
-DEFAULT_SAMPLES = 10_000
-
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """How T|(S-S')u| <= eps e was checked, with the worst case seen."""
+    """T|(S-S')u| <= eps e for every component u, by its exact supremum."""
 
-    mode: str  # "exhaustive" or "majorant+sampled"
+    mode: str  # always "closed-form"
     eps: Fraction
     majorant: BoundCertificate  # 2Tp + 2T(e-h) <= eps e, exact
-    worst_observed: LatticeElement  # coordinatewise max of T|(S-S')u| over scanned u
-    components_checked: int
-    holds: bool
+    worst_observed: LatticeElement  # sup over all u of T|(S-S')u|, per block
+    components_checked: int  # sigma-edges examined: the points where tau != tau'
+    holds: bool  # worst_observed <= eps e
 
     def as_dict(self) -> dict:
         return {
@@ -121,8 +124,6 @@ def build_s_prime(
     p: Iterable[int],
     n: int,
     eps=None,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
 ) -> PeriodicApproximation:
     """Assemble S' over a caller-supplied tower base (manual mode).
 
@@ -177,9 +178,7 @@ def build_s_prime(
         eps = max(majorant_element)
     eps = as_rational(eps)
 
-    certificate = _certify_distance(
-        sys, tau_prime, majorant_element, eps, samples=samples, seed=seed
-    )
+    certificate = _certify_distance(sys, tau_prime, majorant_element, eps)
     return PeriodicApproximation(
         tau_prime=tau_prime,
         period_bound=n,
@@ -226,12 +225,18 @@ def _extract_point_map(sys: GroundSystem, p: Component, n: int) -> tuple[int, ..
 
 
 def _check_ts_prime_equals_t(sys: GroundSystem, tau_prime: tuple[int, ...]) -> None:
-    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}."""
+    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}.
+
+    T chi_x is w_x / mass_b on the block b of x and 0 elsewhere, and weights
+    are positive, so T chi_x = T chi_m exactly when x and m share their
+    block and their scaled weight.
+    """
+    weight, block_of = sys.scaled_weights[0], sys.block_of
     preimage = [0] * sys.size
     for x, m in enumerate(tau_prime):
         preimage[m] = x
-    for m in range(sys.size):
-        if sys.component_expectation({preimage[m]}) != sys.component_expectation({m}):
+    for m, x in enumerate(preimage):
+        if block_of[x] != block_of[m] or weight[x] != weight[m]:
             raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
 
@@ -250,78 +255,50 @@ def _certify_distance(
     tau_prime: tuple[int, ...],
     majorant_element: LatticeElement,
     eps: Fraction,
-    samples: int,
-    seed: int,
 ) -> DistanceCertificate:
-    majorant = BoundCertificate(
-        name="distance-majorant",
-        lhs=majorant_element,
-        rhs=eps * sys.unit,
-        relation="<=",
-    )
-    if sys.size <= EXHAUSTIVE_LIMIT:
-        worst, checked, all_ok = _scan_components(
-            sys, tau_prime, eps, masks=range(1 << sys.size)
-        )
-        return DistanceCertificate(
-            mode="exhaustive",
-            eps=eps,
-            majorant=majorant,
-            worst_observed=worst,
-            components_checked=checked,
-            holds=all_ok,
-        )
-    rng = random.Random(seed)
-    masks = (rng.getrandbits(sys.size) for _ in range(samples))
-    worst, checked, all_ok = _scan_components(sys, tau_prime, eps, masks=masks)
-    return DistanceCertificate(
-        mode="majorant+sampled",
-        eps=eps,
-        majorant=majorant,
-        worst_observed=worst,
-        components_checked=checked,
-        holds=majorant.holds and all_ok,
-    )
+    """The exact supremum of T|(S-S')chi_u| over all u, compared with eps e.
 
-
-def _scan_components(sys: GroundSystem, tau_prime, eps, masks):
-    """Max of T|(S-S')chi_u| over the given component bitmasks, vs eps.
-
-    Only points where tau and tau' disagree can contribute to the
-    pointwise difference, so the scan accumulates block-weighted mass over
-    that set alone. The weights are scaled by the lcm of their
-    denominators, so the masses are integers, and the per-block value
-    acc_b / mass_b is compared with eps by cross-multiplication; the worst
-    value per block is a Fraction only on the way out.
+    Per block b the supremum is (sum of w_x over x in b with tau x != tau' x,
+    minus the lightest w_x of each odd sigma-cycle of length >= 3 whose
+    edges all lie in b) / mass_b, where the edge of x starts at tau x. The
+    sums are over the integer ``scaled_weights``; eps is compared by
+    cross-multiplication, and the value per block becomes a Fraction only
+    on the way out.
     """
     weight, mass = sys.scaled_weights
-    diff = [
-        (sys.tau[x], tau_prime[x], sys.block_of[x], weight[x])
-        for x in range(sys.size)
-        if sys.tau[x] != tau_prime[x]
-    ]
-    limit = [eps.numerator * m for m in mass]
-    n_blocks = len(sys.blocks)
-    worst = [0] * n_blocks
-    all_ok = True
-    checked = 0
-    for mask in masks:
-        checked += 1
-        acc = [0] * n_blocks
-        for tx, tpx, b, w in diff:
-            if (mask >> tx & 1) != (mask >> tpx & 1):
-                acc[b] += w
-        for b in range(n_blocks):
-            value = acc[b]
-            if value > worst[b]:
-                worst[b] = value
-            if value * eps.denominator > limit[b]:
-                all_ok = False
-    per_block = [Fraction(worst[b], mass[b]) for b in range(n_blocks)]
-    profile = LatticeElement(
-        tuple(per_block[sys.block_of[i]] for i in range(sys.size))
+    tau, inverse, block_of = sys.tau, sys.tau_inverse, sys.block_of
+    cut = [0] * len(sys.blocks)
+    edges = 0
+    for x in range(sys.size):
+        if tau[x] != tau_prime[x]:
+            cut[block_of[x]] += weight[x]
+            edges += 1
+    seen = bytearray(sys.size)
+    for start in range(sys.size):
+        terms = []  # the x whose edges tau x -> tau' x form the sigma-cycle of start
+        y = start
+        while not seen[y]:
+            seen[y] = 1
+            terms.append(inverse[y])
+            y = tau_prime[terms[-1]]
+        if len(terms) >= 3 and len(terms) % 2:
+            blocks = {block_of[x] for x in terms}
+            if len(blocks) == 1:
+                cut[blocks.pop()] -= min(weight[x] for x in terms)
+    per_block = [Fraction(c, m) for c, m in zip(cut, mass)]
+    return DistanceCertificate(
+        mode="closed-form",
+        eps=eps,
+        majorant=BoundCertificate(
+            name="distance-majorant",
+            lhs=majorant_element,
+            rhs=eps * sys.unit,
+            relation="<=",
+        ),
+        worst_observed=LatticeElement(tuple(per_block[b] for b in block_of)),
+        components_checked=edges,
+        holds=all(c * eps.denominator <= eps.numerator * m for c, m in zip(cut, mass)),
     )
-    return profile, checked, all_ok
 
 
 def surjectivity_preimage(
@@ -341,12 +318,7 @@ def surjectivity_preimage(
     )
 
 
-def approximate_periodic(
-    sys: GroundSystem,
-    eps,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> PeriodicApproximation:
+def approximate_periodic(sys: GroundSystem, eps) -> PeriodicApproximation:
     """The theorem-driven construction: within conditional distance eps of S.
 
     Takes n > 4/eps, builds the eps/4-bounded tower (which demands every
@@ -361,9 +333,7 @@ def approximate_periodic(
         )
     n = floor(Fraction(4) / eps) + 1
     tower = build_tower_eps(sys, n, eps / Fraction(4))
-    approx = build_s_prime(
-        sys, tower.base, n, eps=eps, samples=max(samples, DEFAULT_SAMPLES), seed=seed
-    )
+    approx = build_s_prime(sys, tower.base, n, eps=eps)
     if not approx.certificate.holds:
         raise TheoremViolation(
             f"distance certificate failed at eps = {format_rational(eps)}: "

@@ -5,9 +5,10 @@ trajectories, stepwise operator application, exhaustive enumeration -
 without touching the lattice formulas or the cycle-position kernels used
 by the constructions: ``return_decomposition`` (first returns as backward
 gaps between points of p on a tau-cycle), ``check_recurrent`` (cycles
-meeting q), the ``build_tower`` base, ``tau_power`` and the per-block T of
-``component_expectation``. Only ``tau``, its inverse, the weights and
-the blocks are read here. The property suites and the test suite compare
+meeting q), the ``build_tower`` base, ``tau_power``, the per-block T of
+``component_expectation`` and the closed-form distance supremum of
+``approx``. Only ``tau``, its inverse, the weights and the blocks (and a
+caller's tau') are read here. The property suites and the test suite compare
 the two routes; nothing in the construction modules imports this one.
 
 Direction of the point flow: the first-return formula
@@ -21,6 +22,7 @@ formula is exactly the cross-check the suites run.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .lattice import Component, LatticeElement, as_component
@@ -92,3 +94,46 @@ def all_components(size: int) -> Iterator[Component]:
     """Every subset of {0,...,size-1}, empty set first (2^size of them)."""
     for mask in range(1 << size):
         yield frozenset(i for i in range(size) if mask >> i & 1)
+
+
+def scan_components(sys: GroundSystem, tau_prime, eps, masks):
+    """Max of T|(S-S')chi_u| over the given component bitmasks, vs eps.
+
+    (S-S')chi_u is chi_u(tau x) - chi_u(tau' x) at x, so only the points
+    where tau and tau' differ contribute: each adds its weight to its block
+    when exactly one of tau x, tau' x lies in u. Weights are scaled by the
+    lcm of their denominators, so the block sums are integers; the value
+    acc_b / mass_b is compared with eps by cross-multiplication. Returns the
+    coordinatewise worst profile, the number of masks scanned and whether
+    every value was <= eps. Over ``range(1 << size)`` this is the exact
+    supremum by exhaustion.
+    """
+    scale = lcm(*(w.denominator for w in sys.weights))
+    weight = [w.numerator * (scale // w.denominator) for w in sys.weights]
+    owner = {x: b for b, block in enumerate(sys.blocks) for x in block}
+    mass = [sum(weight[x] for x in block) for block in sys.blocks]
+    diff = [
+        (sys.tau[x], tau_prime[x], owner[x], weight[x])
+        for x in range(sys.size)
+        if sys.tau[x] != tau_prime[x]
+    ]
+    limit = [eps.numerator * m for m in mass]
+    n_blocks = len(sys.blocks)
+    worst = [0] * n_blocks
+    all_ok = True
+    checked = 0
+    for mask in masks:
+        checked += 1
+        acc = [0] * n_blocks
+        for tx, tpx, b, w in diff:
+            if (mask >> tx & 1) != (mask >> tpx & 1):
+                acc[b] += w
+        for b in range(n_blocks):
+            value = acc[b]
+            if value > worst[b]:
+                worst[b] = value
+            if value * eps.denominator > limit[b]:
+                all_ok = False
+    per_block = [Fraction(worst[b], mass[b]) for b in range(n_blocks)]
+    profile = LatticeElement(tuple(per_block[owner[x]] for x in range(sys.size)))
+    return profile, checked, all_ok

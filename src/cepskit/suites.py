@@ -6,9 +6,9 @@ full reproduction parameters. A failing check always carries a standalone
 command line that reruns exactly that trial.
 
 Trials are independent and may run in parallel (width from the
-CEPSKIT_PARALLEL environment variable, capped at the CPU count); the
-report is assembled in trial order either way, so it is a deterministic
-function of (suite name, trials, seed).
+CEPSKIT_PARALLEL environment variable, an integer capped at the CPU
+count); the report is assembled in trial order either way, so it is a
+deterministic function of (suite name, trials, seed).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import approx as approx_mod
 from . import recurrence, tower
+from .errors import MalformedInput
 from .generators import RandomSpec, random_component, random_system, single_cycle
 from .lattice import LatticeElement
 from .oracles import first_return_sets
@@ -189,12 +190,13 @@ SUITE_NAMES = tuple(_TRIALS)
 
 
 def _parallel_width() -> int:
-    """CEPSKIT_PARALLEL, clamped to 1..os.cpu_count()."""
+    """CEPSKIT_PARALLEL, clamped to 1..os.cpu_count(); not an integer is refused."""
     raw = os.environ.get("CEPSKIT_PARALLEL", "1")
     try:
         width = int(raw)
     except ValueError:
-        return 1
+        raise MalformedInput(
+            f"CEPSKIT_PARALLEL must be an integer, got {raw!r}") from None
     return max(1, min(width, os.cpu_count() or 1))
 
 

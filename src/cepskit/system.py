@@ -459,12 +459,14 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     Runs the structural checks (permutation, partition, positivity, block
     and weight invariance under tau) and, when the pieces are well formed,
     also checks the CEPS axioms extensionally: Te = e and Se = e on the
-    unit, and TS chi_m = T chi_m on each of the N coordinate indicators,
-    with S chi_m taken from ``component_image`` and T from
-    ``component_expectation`` (O(1) per point). The structural and
-    extensional verdicts for TS = T must agree; a mismatch is itemized as
-    its own failed check. The report carries the system the extensional
-    checks ran on, so a loader need not build it again.
+    unit, and TS chi_m = T chi_m on each of the N coordinate indicators.
+    S chi_m is the indicator of tau^{-1}(m), and T of a coordinate
+    indicator is its scaled weight over its block's mass, so that check
+    compares block and scaled weight of tau^{-1}(m) and m as integers
+    (O(1) per point). The structural and extensional verdicts for TS = T
+    must agree; a mismatch is itemized as its own failed check. The report
+    carries the system the extensional checks ran on, so a loader need not
+    build it again.
     """
     checks: list[Check] = []
     try:
@@ -485,12 +487,9 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     checks.append(Check("Te-equals-e", sys.expectation(e) == e))
     checks.append(Check("Se-equals-e", sys.koopman(1, e) == e))
 
-    witness = None
-    for m in range(size):
-        if sys.component_expectation(sys.component_image(1, {m})) \
-                != sys.component_expectation({m}):
-            witness = m
-            break
+    weight, block_of = sys.scaled_weights[0], sys.block_of
+    witness = next((m for m, x in enumerate(sys.tau_inverse)
+                    if block_of[x] != block_of[m] or weight[x] != weight[m]), None)
     checks.append(Check("TS-equals-T-extensional", witness is None, witness))
 
     structural = (

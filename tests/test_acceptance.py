@@ -25,7 +25,7 @@ from cepskit.generators import (
     with_single_block,
 )
 from cepskit.lattice import band_project, elem
-from cepskit.oracles import all_components
+from cepskit.oracles import all_components, scan_components
 from cepskit.recurrence import disjointness_witnesses, kac_certificate
 from cepskit.suites import run_suite
 from cepskit.tower import build_tower, build_tower_eps, build_tower_eps_ls, \
@@ -184,18 +184,23 @@ def test_criterion_8_periodic_approximation():
     b_ok = (majorant.lhs == F(6, 25) * hundred.unit
             and majorant.holds and auto.certificate.holds)
 
-    # (c) exhaustive scan at |Omega| = 16
+    # (c) closed form = the exhaustive 2^16 scan at |Omega| = 16
     started = time.perf_counter()
     sixteen = single_cycle(16)
     manual16 = build_s_prime(sixteen, [0, 4, 8, 12], 3, eps=F(1))
     cert = manual16.certificate
+    worst, checked, all_ok = scan_components(sixteen, manual16.tau_prime, F(1),
+                                             range(1 << 16))
     elapsed = time.perf_counter() - started
-    c_ok = (cert.mode == "exhaustive" and cert.components_checked == 2**16
-            and cert.holds and elapsed < 300)
+    edges = sum(t != tp for t, tp in zip(sixteen.tau, manual16.tau_prime))
+    c_ok = (cert.mode == "closed-form" and checked == 2**16
+            and cert.worst_observed == worst and cert.holds == all_ok
+            and cert.holds and cert.components_checked == edges
+            and elapsed < 300)
 
     report_line(8, a_ok and b_ok and c_ok,
                 f"tau'=(0 5 6) fixture, 100-cycle majorant 6/25 <= 1/2, "
-                f"2^16 exhaustive scan ({elapsed:.1f}s)")
+                f"closed form = 2^16 exhaustive scan ({elapsed:.1f}s)")
 
 
 def test_criterion_9_cesaro_convergence():

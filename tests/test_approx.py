@@ -15,7 +15,7 @@ from cepskit.approx import (
 from cepskit.errors import DimensionError, DomainError, NotAperiodicAtHorizon
 from cepskit.generators import single_cycle, swap_example
 from cepskit.lattice import elem
-from cepskit.oracles import all_components
+from cepskit.oracles import all_components, scan_components
 from cepskit.system import GroundSystem, permutation_cycles
 
 F = Fraction
@@ -120,14 +120,17 @@ def test_distance_profile_values():
 def test_exhaustive_certificate_small():
     sys, approx = seven_fixture()
     cert = approx.certificate
-    assert cert.mode == "exhaustive"
-    assert cert.components_checked == 2**7
+    assert cert.mode == "closed-form"
+    # tau and tau' = (0 5 6) differ at 0..4: five sigma-edges examined
+    assert cert.components_checked == 5
     assert cert.holds
-    # worst observed really is the max of the per-component profiles
-    worst = max(
-        max(distance_profile(sys, approx, u)) for u in all_components(7)
-    )
-    assert max(cert.worst_observed) == worst
+    # worst observed really is the coordinatewise max of the dense
+    # per-component profiles over all 2^7 components
+    profiles = [distance_profile(sys, approx, u) for u in all_components(7)]
+    worst = tuple(max(p[i] for p in profiles) for i in range(7))
+    assert cert.worst_observed.values == worst
+    assert cert.worst_observed == scan_components(
+        sys, approx.tau_prime, cert.eps, range(1 << 7))[0]
 
 
 def test_build_s_prime_rejections():
@@ -164,17 +167,45 @@ def test_manual_explicit_eps_can_fail_without_raising():
     assert max(approx.certificate.worst_observed) > F(1, 100)
 
 
+def alternating_component(tau, tau_prime):
+    """Every other point along each sigma-cycle, sigma = tau' o tau^{-1}.
+
+    It splits every sigma-edge of an even cycle, so on a system whose
+    sigma-cycles are all even it attains the distance supremum.
+    """
+    inverse = {t: x for x, t in enumerate(tau)}
+    seen, u = set(), set()
+    for start in range(len(tau)):
+        y, parity = start, 0
+        while y not in seen:
+            seen.add(y)
+            if parity:
+                u.add(y)
+            y, parity = tau_prime[inverse[y]], 1 - parity
+    return frozenset(u)
+
+
 def test_approximate_periodic_hundred_cycle():
     sys = single_cycle(100)
     approx = approximate_periodic(sys, F(1, 2))
     assert approx.period_bound == 9
     cert = approx.certificate
-    assert cert.mode == "majorant+sampled"
+    assert cert.mode == "closed-form"
     assert cert.majorant.holds
     assert cert.majorant.lhs == F(6, 25) * sys.unit  # 2Tp + 2T(e-h), |p|=11
-    assert cert.components_checked >= 10_000
+    # tau and tau' differ on p and on the one point off the tower: 12 edges
+    assert cert.components_checked == 12
     assert cert.holds
-    assert max(cert.worst_observed) <= F(1, 2)
+    # The supremum cuts all 12 edges of weight 1/100, and a component attains it.
+    assert cert.worst_observed == F(3, 25) * sys.unit
+    u = alternating_component(sys.tau, approx.tau_prime)
+    assert distance_profile(sys, approx, u) == cert.worst_observed
+    # No sampled component exceeds it.
+    rng = random.Random(0)
+    masks = [rng.getrandbits(100) for _ in range(10_000)]
+    sampled, checked, all_ok = scan_components(sys, approx.tau_prime, F(1, 2), masks)
+    assert checked == 10_000 and all_ok
+    assert all(s <= w for s, w in zip(sampled, cert.worst_observed))
 
 
 def test_approximate_periodic_rejections():

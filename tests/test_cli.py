@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from cepskit import suites, system
+from cepskit import cli, suites, system
 from cepskit.cli import main
+from cepskit.errors import MalformedInput, TheoremViolation
 from cepskit.generators import single_cycle, swap_example, with_single_block, \
     direct_product
 from cepskit.rationals import format_rational
@@ -163,15 +164,25 @@ def test_approx_manual_and_auto(tmp_path, capsys):
                        "--p", "0", "--n", "3")
     assert code == 0
     assert report["tau_prime"] == [5, 1, 2, 3, 4, 6, 0]
-    assert report["certificate"]["mode"] == "exhaustive"
+    assert report["certificate"]["mode"] == "closed-form"
+    assert report["certificate"]["components_checked"] == 5
+    # the coordinatewise max over all 2^7 components
+    assert report["certificate"]["worst_observed"] == ["4/7"] * 7
 
     c100 = tmp_path / "c100.json"
     save(single_cycle(100), c100)
-    code, report = run(capsys, "approx", "--system", str(c100), "--eps", "1/2",
-                       "--samples", "10000")
+    code, report = run(capsys, "approx", "--system", str(c100), "--eps", "1/2")
     assert code == 0
-    assert report["certificate"]["mode"] == "majorant+sampled"
+    assert report["inputs"] == {"system_digest": single_cycle(100).digest(),
+                                "manual": False}
+    assert report["certificate"]["mode"] == "closed-form"
     assert report["certificate"]["majorant"]["holds"] is True
+    assert report["certificate"]["worst_observed"] == ["3/25"] * 100
+    assert report["certificate"]["holds"] is True
+    for gone in (["--samples", "10000"], ["--seed", "3"]):
+        assert main(["approx", "--system", str(c100), "--eps", "1/2", *gone]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     code, report = run(capsys, "approx", "--system", str(c7), "--eps", "1/2")
     assert code == 2  # 7-cycle is far too short for the auto construction
@@ -321,12 +332,26 @@ def test_height_equal_to_size_is_accepted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("raw, cpus, width", [
-    ("64", 2, 2), ("64", None, 1), ("3", 8, 3), ("0", 8, 1), ("x", 8, 1),
+    ("64", 2, 2), ("64", None, 1), ("3", 8, 3), ("0", 8, 1), ("x", 8, None),
 ])
 def test_parallel_width_is_capped_at_cpu_count(monkeypatch, raw, cpus, width):
     monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
-    assert suites._parallel_width() == width
+    if width is None:  # not an integer: refused
+        with pytest.raises(MalformedInput, match="CEPSKIT_PARALLEL"):
+            suites._parallel_width()
+    else:
+        assert suites._parallel_width() == width
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+def test_non_integer_parallel_width_is_exit_3(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
+    code = main(["suite", "kac", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: CEPSKIT_PARALLEL must be an integer")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_huge_declared_size_gets_a_small_report(tmp_path, capsys):
@@ -413,11 +438,9 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(GroundSystem, "__post_init__", counting_post_init)
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
     assert code == 0 and report["equal"] is True
-    # Dense Te = e once, then sparse T(S chi_m) and T(chi_m) for each of the
-    # n points: one extensional pass.
+    # Dense Te = e once; TS = T compares integers per point, without T.
     assert counts == {"open": 1, "validate_ceps": 1, "construct": 1,
-                      "expectation while validating": 1,
-                      "component_expectation while validating": 2 * n}
+                      "expectation while validating": 1}
 
 
 # -- one verdict path --
@@ -452,7 +475,6 @@ def test_every_verdict_shares_the_envelope(swap_file, tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["suite", "kac", "--trials", "1"],
     ["gen", "--kind", "cycle", "--m", "3"],
-    ["approx", "--system", "{swap}", "--manual", "--p", "0", "--n", "1"],
 ], ids=lambda argv: argv[0])
 def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
     monkeypatch.setenv("CEPSKIT_SEED", "abc")
@@ -460,9 +482,13 @@ def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: argument --seed: invalid int value")
-    # A command without --seed does not read the variable.
+    # A command without --seed does not read the variable; approx no
+    # longer has one.
     code, report = run(capsys, "kac", "--system", swap_file, "--p", "0")
     assert code == 0 and report["equal"] is True
+    code, report = run(capsys, "approx", "--system", swap_file, "--manual",
+                       "--p", "0", "--n", "2")
+    assert code == 0 and report["certificate"]["holds"] is True
 
 
 def test_validate_takes_no_force(swap_file, capsys):
@@ -512,17 +538,74 @@ def test_unwritable_output_is_exit_3(tmp_path, capsys, argv):
     assert not (tmp_path / "missing-dir").exists()
 
 
-def test_refusal_reports_reach_a_writable_out(tmp_path, capsys):
+def test_refusal_reports_reach_a_writable_out(tmp_path, capsys, monkeypatch):
     # Exit-1 and exit-2 reports go both to stdout and to --out.
     violating = tmp_path / "violating.json"
     violating.write_text(json.dumps(_VIOLATING))
     out = tmp_path / "report.json"
-    for force, expected in ((["--force"], 1), ([], 2)):
+    for force in (["--force"], []):
         code = main(["kac", "--system", str(violating), "--p", "0",
                      "--out", str(out), *force])
         printed = capsys.readouterr().out
-        assert code == expected
+        assert code == 2
         assert json.loads(printed) == json.loads(out.read_text())
+    # No valid input fails a theorem, so exit 1 is provoked by a stand-in.
+    def violated(sys, p):
+        raise TheoremViolation("stand-in violation")
+
+    monkeypatch.setattr(cli, "kac_certificate", violated)
+    swap = tmp_path / "swap.json"
+    save(swap_example(), swap)
+    code = main(["kac", "--system", str(swap), "--p", "0", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(printed) == json.loads(out.read_text())
+    assert json.loads(printed)["error"] == "stand-in violation"
+
+
+def test_forced_invalid_system_never_exits_1(tmp_path, capsys):
+    # The Kac identity fails on a forced system with one weight changed:
+    # exit 2, both sides kept.
+    raw = single_cycle(12).as_dict()
+    raw["weights"][3] = "5"
+    path = tmp_path / "w12.json"
+    path.write_text(json.dumps(raw))
+    code, report = run(capsys, "kac", "--system", str(path), "--p", "0", "--force")
+    assert code == 2 and report["equal"] is False and report["outcome"] == "fail"
+    assert report["Tn(p)"] != report["P_Tp_e"] and len(report["Tn(p)"]) == 12
+    code, report = run(capsys, "decompose", "--system", str(path), "--p", "0",
+                       "--force")
+    assert code == 2 and report["kac_ok"] is False
+    # A theorem check that raises there is a rejection too.
+    code, report = run(capsys, "approx", "--system", str(path), "--manual",
+                       "--p", "0,3", "--n", "2", "--force")
+    assert code == 2 and report["kind"] == "TheoremViolation"
+    assert report["error"].startswith("TS' = T fails on indicator of 2")
+    code, report = run(capsys, "tower", "--system", str(path), "--p", "0,1",
+                       "--n", "3", "--force")
+    assert code == 2 and report["kind"] == "TheoremViolation"
+    # The same system, valid, passes.
+    save(single_cycle(12), path)
+    code, report = run(capsys, "kac", "--system", str(path), "--p", "0", "--force")
+    assert code == 0 and report["equal"] is True
+
+
+def test_manual_eps_below_the_supremum_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "c12.json"
+    save(single_cycle(12), path)
+    code, report = run(capsys, "approx", "--system", str(path), "--manual",
+                       "--p", "0", "--n", "2", "--eps", "1/5")
+    assert code == 2 and report["outcome"] == "fail"
+    cert = report["certificate"]
+    assert cert["holds"] is False and cert["eps"] == "1/5"
+    # tau and tau' differ at 11 points, whose edges of weight 1/12 form one
+    # odd sigma-cycle: all but one of them are cut.
+    assert cert["components_checked"] == 11
+    assert cert["worst_observed"] == ["5/6"] * 12
+    # At the supremum itself the bound holds.
+    code, report = run(capsys, "approx", "--system", str(path), "--manual",
+                       "--p", "0", "--n", "2", "--eps", "5/6")
+    assert code == 0 and report["certificate"]["holds"] is True
 
 
 def test_tower_csv_level_masses_are_dense_t(tmp_path, capsys):

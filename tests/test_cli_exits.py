@@ -3,11 +3,12 @@
 Every verdict subcommand and ``validate`` is driven with arguments drawn
 around the edges of the ground set (indices out of range, negative or not
 integers, heights -1..13, bad rationals, --force on and off, an --out or
---csv in a directory that does not exist) on small files: valid,
-non-ergodic, axiom-violating and malformed. No exception may escape
-``main``; exit 3 prints nothing on stdout and one ``error: `` line on
-stderr; every other exit prints exactly one JSON object. An unwritable
---out is always exit 3.
+--csv in a directory that does not exist, the removed approx --samples and
+--seed) on small files: valid, non-ergodic, axiom-violating and malformed.
+No exception may escape ``main``; exit 3 prints nothing on stdout and one
+``error: `` line on stderr; every other exit prints exactly one JSON
+object. An unwritable --out and a removed option are always exit 3. Exit 1
+would be a theorem violation, which none of these files may produce.
 """
 
 import contextlib
@@ -86,7 +87,8 @@ def argvs(draw, names):
             argv += ["--manual", "--p", draw(index_list), "--n", draw(height)]
         if draw(st.booleans()):
             argv += ["--eps", draw(eps)]
-        argv += ["--samples", "20", "--seed", draw(st.integers(-3, 3).map(str))]
+        if draw(st.integers(0, 3)) == 0:  # removed options: always exit 3
+            argv += draw(st.sampled_from([["--samples", "20"], ["--seed", "3"]]))
     if command in ("tower", "tower-eps", "approx") and draw(st.booleans()):
         argv += ["--csv", UNWRITABLE]
     if draw(st.integers(0, 3)) == 0:
@@ -103,6 +105,7 @@ def test_every_exit_is_in_the_taxonomy(files, data):
     force = "--force" in argv
     argv[2] = files[argv[2]]
     unwritable_out = "--out" in argv
+    removed_option = "--samples" in argv or "--seed" in argv
     argv = [a.replace("<missing-dir>", files["missing-dir"]) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,15 +115,9 @@ def test_every_exit_is_in_the_taxonomy(files, data):
     if code == 3:
         assert out == "" and err.startswith("error: ")
         return
-    assert not unwritable_out
+    assert not unwritable_out and not removed_option
     assert err == ""
     report = json.loads(out)
     assert isinstance(report, dict)
-    if code == 1:
-        # Exit 1 should mean a theorem violation. Two exits 1 are not one: a
-        # forced axiom-violating system, where Kac fails as it may, and an
-        # explicit --eps that a hand-picked approx --manual base misses
-        # (outcome "fail"; the theorem's hypotheses were never met).
-        manual_miss = (argv[0] == "approx" and "--manual" in argv
-                       and "--eps" in argv and report.get("outcome") == "fail")
-        assert (force and argv[2] == files["violating"]) or manual_miss
+    # Exit 1 means a theorem violation, and every theorem holds on these files.
+    assert code != 1, report

@@ -2,30 +2,32 @@
 
 Each sparse or integer kernel on the production path is compared with the
 dense route it replaced: T and S' applied to every coordinate indicator,
-a Fraction scan of the conditional distance, the lattice formula for
-q(p,k), the forward-image sweep for recurrence, the suffix-union formula
-for the tower base, and dense T of indicators for every certificate side.
+the exhaustive scan of the conditional distance over all 2^N components
+(itself checked against a Fraction scan), the lattice formula for q(p,k),
+the forward-image sweep for recurrence, the suffix-union formula for the
+tower base, and dense T of indicators for every certificate side.
 Systems are drawn from ``random_system`` and from force-admitted
-candidates that break the CEPS axioms, all with at most 64 points.
+candidates that break the CEPS axioms, all with at most 64 points (16
+where the reference is exhaustive over components).
 """
 
 from fractions import Fraction
 from math import floor
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cepskit import system
 from cepskit.approx import (
+    _certify_distance,
     _check_ts_prime_equals_t,
     _extract_point_map,
-    _scan_components,
     build_s_prime,
     s_prime_operator,
 )
 from cepskit.errors import CepsError, DomainError, TheoremViolation
 from cepskit.generators import RandomSpec, random_system
 from cepskit.lattice import LatticeElement, band_project, elem
-from cepskit.oracles import first_return_sets, forward_image_union
+from cepskit.oracles import first_return_sets, forward_image_union, scan_components
 from cepskit.recurrence import (
     check_recurrent,
     kac_certificate,
@@ -107,6 +109,57 @@ systems = st.one_of(
     generated_systems(),
     raw_candidates(wellformed=True).map(lambda raw: validate_ceps(raw).system),
 )
+
+
+@st.composite
+def small_systems(draw) -> GroundSystem:
+    """At most 16 points: generated ergodic and non-ergodic systems, and
+    force-admitted ones with tau swapped across two blocks or weights changed."""
+    kind = draw(st.sampled_from(["ergodic", "non-ergodic", "tau-swap", "weight"]))
+    ergodic = kind != "non-ergodic"
+    sys = random_system(RandomSpec(
+        seed=draw(st.integers(0, 2**32)),
+        num_blocks=(1, 3) if ergodic else (1, 2),
+        cycle_lengths=(1, 8) if ergodic else (1, 2),
+        ergodic=ergodic,
+    ))
+    assume(sys.size <= 16)
+    raw = sys.as_dict()
+    if kind == "tau-swap":
+        i = draw(st.integers(0, sys.size - 1))
+        others = [j for j in range(sys.size) if sys.block_of[j] != sys.block_of[i]]
+        if others:
+            j = draw(st.sampled_from(others))
+            raw["tau"][i], raw["tau"][j] = raw["tau"][j], raw["tau"][i]
+    elif kind == "weight":
+        # Some weights or all, so that w_x and w_{tau x} differ on cycles.
+        changed = st.sets(st.integers(0, sys.size - 1), min_size=1)
+        for i in draw(st.one_of(changed, st.just(range(sys.size)))):
+            raw["weights"][i] = f"{draw(st.integers(1, 9))}/{draw(st.integers(1, 9))}"
+    return validate_ceps(raw).system
+
+
+@st.composite
+def tau_primes(draw, sys: GroundSystem) -> tuple[int, ...]:
+    """The point map of S' over a base with disjoint iterates, sigma o tau for
+    an odd cycle sigma inside one block, or any permutation."""
+    kind = draw(st.sampled_from(["real", "odd-cycle", "random"]))
+    large = [sorted(b) for b in sys.blocks if len(b) >= 3]
+    if kind == "odd-cycle" and large:
+        block = draw(st.sampled_from(large))
+        length = draw(st.sampled_from(range(3, len(block) + 1, 2)))
+        points = draw(st.permutations(block))[:length]
+        sigma = dict(zip(points, points[1:] + points[:1]))
+        return tuple(sigma.get(t, t) for t in sys.tau)
+    if kind == "real":
+        n = draw(st.integers(2, max(2, max(len(c) for c in sys.cycles))))
+        # Points n apart on the cycles of length >= n: n disjoint levels.
+        spaced = [cyc[i] for cyc in sys.cycles if len(cyc) >= n
+                  for i in range(0, len(cyc) - n + 1, n)]
+        p = frozenset(x for x in spaced if draw(st.booleans()))
+        if p:
+            return _extract_point_map(sys, p, n)
+    return tuple(draw(st.permutations(range(sys.size))))
 
 
 def subsets(size: int):
@@ -319,8 +372,36 @@ def test_integer_scan_is_fraction_scan(sys, data):
     tau_prime = tuple(data.draw(st.permutations(range(sys.size))))
     eps = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=50))
     masks = data.draw(st.lists(st.integers(0, 2**sys.size - 1), max_size=20))
-    assert _scan_components(sys, tau_prime, eps, masks) \
+    assert scan_components(sys, tau_prime, eps, masks) \
         == fraction_scan(sys, tau_prime, eps, masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_systems(), st.data())
+def test_distance_closed_form_is_exhaustive_scan(sys, data):
+    tau_prime = data.draw(tau_primes(sys))
+    eps = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=20))
+    cert = _certify_distance(sys, tau_prime, sys.unit, eps)
+    worst, _, all_ok = scan_components(sys, tau_prime, eps, range(1 << sys.size))
+    assert cert.worst_observed == worst  # constant on blocks: block by block
+    assert cert.holds == all_ok
+    assert cert.components_checked == sum(t != tp for t, tp in zip(sys.tau, tau_prime))
+    assert cert.mode == "closed-form"
+
+
+def test_closed_form_weighs_the_term_of_x():
+    # A 5-cycle with weights 5, 3, 4, 6, 1 (admitted by force) and
+    # sigma = (2 3 4): the sigma-edges are the terms of x = 1, 2, 3, so the
+    # lightest weighs w_1 = 3, not w_4 = 1 of the point tau x = 4.
+    raw = {"size": 5, "weights": ["5", "3", "4", "6", "1"], "blocks": [[0, 1, 2, 3, 4]],
+           "tau": [1, 2, 3, 4, 0]}
+    sys = validate_ceps(raw).system
+    sigma = {2: 3, 3: 4, 4: 2}
+    tau_prime = tuple(sigma.get(t, t) for t in sys.tau)
+    cert = _certify_distance(sys, tau_prime, sys.unit, Fraction(1))
+    assert cert.worst_observed == Fraction(3 + 4 + 6 - 3, 19) * sys.unit
+    assert cert.worst_observed == scan_components(sys, tau_prime, Fraction(1),
+                                                  range(1 << 5))[0]
 
 
 @SETTINGS
@@ -423,7 +504,7 @@ def test_tower_eps_certificate_sides_are_dense_t(sys, data):
 def test_approx_majorant_is_dense_t(sys, data):
     p = data.draw(components(sys))
     n = data.draw(st.integers(2, 5))
-    result = result_or_error(build_s_prime, sys, p, n, None, 20)
+    result = result_or_error(build_s_prime, sys, p, n)
     if isinstance(result, tuple):  # refused or a theorem check failed
         return
     complement = sys.ground_set() - result.tower
