@@ -107,7 +107,7 @@ def _parse_range(raw: str) -> tuple[int, int]:
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """An output file (--out, --csv) that cannot be written is exit 3."""
+    """An output (--out, --csv, stdout) that cannot be written is exit 3."""
     try:
         yield
     except OSError as exc:
@@ -120,7 +120,15 @@ def _emit(report: dict, out: str | None) -> None:
     if out:
         with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    with _writing("stdout"):
+        try:
+            print(text, flush=True)
+        except OSError:
+            # The interpreter flushes stdout again at exit: devnull takes it.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, _sys.stdout.fileno())
+            os.close(devnull)
+            raise
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -337,7 +345,7 @@ def _cmd_approx(args, sys) -> tuple[int, dict, dict]:
         if args.p is None or args.n is None:
             raise MalformedInput("approx --manual needs --p and --n")
         _check_height(args.n, sys.size)
-        eps = _parse_eps(args.eps) if args.eps else None
+        eps = None if args.eps is None else _parse_eps(args.eps)
         result = build_s_prime(sys, _parse_indices(args.p, sys.size), args.n, eps=eps)
     else:
         if args.eps is None:
@@ -394,18 +402,20 @@ def _verdict(handler, args) -> tuple[int, dict]:
     """Load --system once, run the handler and wrap its report in the envelope.
 
     timing_seconds covers the handler (argument checks, construction,
-    certificates, any --csv write), not the load.
+    certificates, any --csv write), not the load. A system whose structure
+    report fails got in through --force; a failed identity or theorem
+    check on it is exit 2.
     """
     sys = system_mod.load(args.system, args.force)
     started = time.perf_counter()
     try:
         code, inputs, body = handler(args, sys)
     except TheoremViolation as exc:
-        if not _admitted_invalid(args, sys):
+        if sys.structure.ok:
             raise
         return 2, {"outcome": "rejected", "kind": "TheoremViolation",
                    "error": f"{exc} (on a system that fails validation)"}
-    if code == 1 and _admitted_invalid(args, sys):
+    if code == 1 and not sys.structure.ok:
         code = 2
     elapsed = round(time.perf_counter() - started, 6)
     return code, {
@@ -414,12 +424,6 @@ def _verdict(handler, args) -> tuple[int, dict]:
         **body,
         "timing_seconds": elapsed,
     }
-
-
-def _admitted_invalid(args, sys) -> bool:
-    """Whether --force let in a system that fails the CEPS axioms."""
-    return args.force and not system_mod.validate_parts(
-        sys.size, sys.weights, sys.blocks, sys.tau).ok
 
 
 def _run(args) -> tuple[int, dict]:

@@ -39,15 +39,22 @@ class InvalidSystem(CepsError):
 
 
 class NotConditionallyErgodic(CepsError):
-    """The operation requires L_S = T; some block splits into several orbits."""
+    """The operation requires L_S = T; some block is not exactly one orbit.
+
+    Either the block splits into several orbits, or (on a force-admitted
+    system whose blocks are not tau-invariant) it is a proper part of one.
+    """
 
     def __init__(self, block, orbits):
         self.block = frozenset(block)
         self.orbits = tuple(frozenset(o) for o in orbits)
+        if len(self.orbits) > 1:
+            how = (f"splits into {len(self.orbits)} orbits "
+                   f"{[sorted(o) for o in self.orbits]}")
+        else:
+            how = f"is a proper part of the orbit {sorted(self.orbits[0])}"
         super().__init__(
-            f"system is not conditionally ergodic: block {sorted(self.block)} "
-            f"splits into {len(self.orbits)} orbits "
-            f"{[sorted(o) for o in self.orbits]}"
+            f"system is not conditionally ergodic: block {sorted(self.block)} {how}"
         )
 
 

@@ -69,24 +69,32 @@ def brute_component_image(sys: GroundSystem, j: int, p: Iterable[int]) -> Compon
 
 
 def forward_image_union(sys: GroundSystem, q: Iterable[int], steps: int) -> Component:
-    """union_{n=1}^{steps} tau^n(q), built by stepping the set forward."""
-    q = set(as_component(q))
+    """union_{n=1}^{steps} tau^n(q), by walking each point of q forward.
+
+    A walk stops after ``steps`` steps or on reaching another point of q,
+    whose own walk covers the rest; so each point of Omega is stepped over
+    at most once.
+    """
+    q = as_component(q)
     union: set[int] = set()
-    current = q
-    for _ in range(steps):
-        current = {sys.tau[x] for x in current}
-        union |= current
+    for x in q:
+        y = x
+        for _ in range(steps):
+            y = sys.tau[y]
+            union.add(y)
+            if y in q:
+                break
     return frozenset(union)
 
 
 def block_average(sys: GroundSystem, f: LatticeElement) -> LatticeElement:
-    """T f recomputed with explicit per-block weighted sums."""
-    out = []
-    for i in range(sys.size):
-        block = sys.blocks[sys.block_of[i]]
+    """T f recomputed with explicit per-block weighted sums, one per block."""
+    out: list[Fraction] = [Fraction(0)] * sys.size
+    for block in sys.blocks:
         num = sum((sys.weights[j] * f[j] for j in block), Fraction(0))
-        den = sum((sys.weights[j] for j in block), Fraction(0))
-        out.append(num / den)
+        average = num / sum((sys.weights[j] for j in block), Fraction(0))
+        for j in block:
+            out[j] = average
     return LatticeElement(tuple(out))
 
 

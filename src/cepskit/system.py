@@ -105,7 +105,9 @@ class GroundSystem:
     partition, weights positive) unconditionally - the operators are not
     even definable otherwise. The dynamical CEPS axioms (block and weight
     invariance under tau) are enforced too unless ``check_axioms=False``,
-    the escape hatch the loader uses for counterexample demos.
+    the escape hatch the loader uses for counterexample demos. Either way
+    ``structure`` keeps the full ``validate_parts`` report, and derived
+    facts (cycles, the ergodicity defect) are computed once and cached.
     """
 
     size: int
@@ -113,6 +115,7 @@ class GroundSystem:
     blocks: tuple[Component, ...]
     tau: tuple[int, ...]
     check_axioms: InitVar[bool] = True
+    structure: ValidationReport = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, check_axioms: bool):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -124,6 +127,7 @@ class GroundSystem:
         bad = [c for c in report.checks if c.name in names and not c.passed]
         if bad:
             raise InvalidSystem(ValidationReport(tuple(bad)))
+        object.__setattr__(self, "structure", report)
 
     # -- derived structure (computed once, cached on the instance) --
 
@@ -289,20 +293,22 @@ class GroundSystem:
             current = [self.tau[c] for c in current]
         return LatticeElement(tuple(t / n for t in totals))
 
-    def is_conditionally_ergodic(self) -> bool:
-        """True iff L_S = T, i.e. every block is a single tau-orbit."""
-        cycle_sets = {frozenset(c) for c in self.cycles}
-        return all(block in cycle_sets for block in self.blocks)
-
-    def ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
-        """A block that splits into several orbits, with its orbit pieces."""
+    @cached_property
+    def _ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
         for block in self.blocks:
-            pieces = sorted(
-                {self.cycle_of[i] for i in block}
-            )
-            if len(pieces) > 1:
+            pieces = sorted({self.cycle_of[i] for i in block})
+            if len(pieces) > 1 or len(self.cycles[pieces[0]]) != len(block):
                 return block, tuple(frozenset(self.cycles[c]) for c in pieces)
         return None
+
+    def ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
+        """The first block that is not one whole tau-cycle, with the cycles it
+        meets; None iff L_S = T. Computed once per system."""
+        return self._ergodic_defect
+
+    def is_conditionally_ergodic(self) -> bool:
+        """True iff L_S = T, i.e. every block is a single tau-orbit."""
+        return self.ergodic_defect() is None
 
     def require_conditionally_ergodic(self) -> None:
         defect = self.ergodic_defect()
@@ -456,49 +462,42 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
 def validate_ceps(candidate: Mapping) -> ValidationReport:
     """Validate a raw system description; itemizes failures, never raises.
 
-    Runs the structural checks (permutation, partition, positivity, block
-    and weight invariance under tau) and, when the pieces are well formed,
-    also checks the CEPS axioms extensionally: Te = e and Se = e on the
-    unit, and TS chi_m = T chi_m on each of the N coordinate indicators.
-    S chi_m is the indicator of tau^{-1}(m), and T of a coordinate
-    indicator is its scaled weight over its block's mass, so that check
-    compares block and scaled weight of tau^{-1}(m) and m as integers
-    (O(1) per point). The structural and extensional verdicts for TS = T
-    must agree; a mismatch is itemized as its own failed check. The report
-    carries the system the extensional checks ran on, so a loader need not
-    build it again.
+    The structural checks (permutation, partition, positivity, block and
+    weight invariance under tau) are the ``structure`` report of the system
+    built from the parsed pieces with the axioms off; only pieces too
+    malformed to build one go through ``validate_parts`` again, to itemize
+    every check. A built system is also checked extensionally in O(N),
+    without the dense operators: Te = e as T chi_Omega = 1 on every block,
+    Se = e as tau^{-1}(Omega) = Omega, and TS chi_m = T chi_m for every m,
+    comparing block and scaled weight of tau^{-1}(m) and m as integers. The
+    structural and extensional verdicts for TS = T must agree; a mismatch
+    is its own failed check. The report carries the system the checks ran
+    on, so a loader need not build it again.
     """
-    checks: list[Check] = []
     try:
         size, weights, blocks, tau = _parse_parts(candidate)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         # args[0] is the missing key, the offending value or a message.
         return ValidationReport((Check("parseable", False, exc.args[0]),))
+    try:
+        sys = GroundSystem(size, weights, blocks, tau, check_axioms=False)
+    except InvalidSystem:
+        return ValidationReport(validate_parts(size, weights, blocks, tau).checks)
 
-    report = validate_parts(size, weights, blocks, tau)
-    checks.extend(report.checks)
-    by_name = {c.name: c for c in checks}
-    wellformed = all(n in by_name and by_name[n].passed for n in _WELLFORMED)
-    if not wellformed:
-        return ValidationReport(tuple(checks))
-
-    sys = GroundSystem(size, weights, blocks, tau, check_axioms=False)
-    e = sys.unit
-    checks.append(Check("Te-equals-e", sys.expectation(e) == e))
-    checks.append(Check("Se-equals-e", sys.koopman(1, e) == e))
+    checks = list(sys.structure.checks)
+    omega = sys.ground_set()
+    checks.append(Check("Te-equals-e", sys.component_expectation(omega)
+                        == dict.fromkeys(range(len(sys.blocks)), 1)))
+    checks.append(Check("Se-equals-e", sys.component_image(1, omega) == omega))
 
     weight, block_of = sys.scaled_weights[0], sys.block_of
     witness = next((m for m, x in enumerate(sys.tau_inverse)
                     if block_of[x] != block_of[m] or weight[x] != weight[m]), None)
     checks.append(Check("TS-equals-T-extensional", witness is None, witness))
 
-    structural = (
-        by_name["blocks-tau-invariant"].passed
-        and by_name["weights-tau-invariant"].passed
-    )
-    checks.append(
-        Check("TS-structural-extensional-agreement", structural == (witness is None))
-    )
+    # The pieces are well formed, so only the two invariance checks can fail.
+    checks.append(Check("TS-structural-extensional-agreement",
+                        sys.structure.ok == (witness is None)))
     return ValidationReport(tuple(checks), sys)
 
 

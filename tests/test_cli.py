@@ -1,6 +1,10 @@
 import builtins
 import json
+import os
+import subprocess
 from collections import Counter
+from pathlib import Path
+from sys import executable
 
 import pytest
 
@@ -390,13 +394,16 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
     n = 9
     path = tmp_path / "c9.json"
     save(single_cycle(n), path)
+    forced = tmp_path / "forced.json"
+    forced.write_text(json.dumps({"size": 2, "weights": ["1/2", "1/2"],
+                                  "blocks": [[0], [1]], "tau": [1, 0]}))
     counts = Counter()
     validating = []
 
     real_open = builtins.open
 
     def counting_open(file, *args, **kwargs):
-        if str(file) == str(path):
+        if str(file) in (str(path), str(forced)):
             counts["open"] += 1
         return real_open(file, *args, **kwargs)
 
@@ -410,19 +417,18 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
         finally:
             validating.pop()
 
-    real_expectation = GroundSystem.expectation
+    real_validate_parts = system.validate_parts
 
-    def counting_expectation(self, f):
-        if validating:
-            counts["expectation while validating"] += 1
-        return real_expectation(self, f)
+    def counting_validate_parts(*args):
+        counts["validate_parts"] += 1
+        return real_validate_parts(*args)
 
-    real_component_expectation = GroundSystem.component_expectation
-
-    def counting_component_expectation(self, c):
-        if validating:
-            counts["component_expectation while validating"] += 1
-        return real_component_expectation(self, c)
+    def counting_while_validating(name, real):
+        def counted(self, *args):
+            if validating:
+                counts[f"{name} while validating"] += 1
+            return real(self, *args)
+        return counted
 
     real_post_init = GroundSystem.__post_init__
 
@@ -432,15 +438,24 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(system, "validate_ceps", counting_validate)
-    monkeypatch.setattr(GroundSystem, "expectation", counting_expectation)
-    monkeypatch.setattr(GroundSystem, "component_expectation",
-                        counting_component_expectation)
+    monkeypatch.setattr(system, "validate_parts", counting_validate_parts)
+    for name in ("expectation", "koopman", "component_expectation"):
+        monkeypatch.setattr(GroundSystem, name, counting_while_validating(
+            name, getattr(GroundSystem, name)))
     monkeypatch.setattr(GroundSystem, "__post_init__", counting_post_init)
+    # One validate_parts per load, --force included; no dense T or S while
+    # validating: Te = e is one sparse T of Omega, Se = e and TS = T compare
+    # points.
+    once = {"open": 1, "validate_ceps": 1, "validate_parts": 1, "construct": 1,
+            "component_expectation while validating": 1}
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
     assert code == 0 and report["equal"] is True
-    # Dense Te = e once; TS = T compares integers per point, without T.
-    assert counts == {"open": 1, "validate_ceps": 1, "construct": 1,
-                      "expectation while validating": 1}
+    assert counts == once
+    counts.clear()
+    code, report = run(capsys, "decompose", "--system", str(forced), "--p", "0",
+                       "--force")
+    assert code == 0 and report["kac_ok"] is None
+    assert counts == once
 
 
 # -- one verdict path --
@@ -538,6 +553,35 @@ def test_unwritable_output_is_exit_3(tmp_path, capsys, argv):
     assert not (tmp_path / "missing-dir").exists()
 
 
+def _cli_with_stdout(stdout, *argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI run in a child process on this stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([executable, "-m", "cepskit.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    return done.returncode, done.stderr
+
+
+def test_closed_stdout_is_exit_3(tmp_path):
+    # As in `cepskit tower-eps ... | head -c 10`: the reader has gone.
+    path = tmp_path / "c12.json"
+    save(single_cycle(12), path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _cli_with_stdout(write, "tower-eps", "--system", str(path),
+                                     "--n", "2", "--eps", "1/5")
+    finally:
+        os.close(write)
+    assert (code, err) == (3, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_exit_3(swap_file):
+    with open("/dev/full", "w") as full:
+        code, err = _cli_with_stdout(full, "kac", "--system", swap_file, "--p", "0")
+    assert (code, err) == (3, "error: cannot write stdout: No space left on device\n")
+
+
 def test_refusal_reports_reach_a_writable_out(tmp_path, capsys, monkeypatch):
     # Exit-1 and exit-2 reports go both to stdout and to --out.
     violating = tmp_path / "violating.json"
@@ -588,6 +632,23 @@ def test_forced_invalid_system_never_exits_1(tmp_path, capsys):
     save(single_cycle(12), path)
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0", "--force")
     assert code == 0 and report["equal"] is True
+
+
+def test_forced_non_orbit_blocks_are_not_conditionally_ergodic(tmp_path, capsys):
+    # Each block {0}, {1} is a proper part of the one orbit {0, 1}.
+    path = tmp_path / "violating.json"
+    path.write_text(json.dumps(_VIOLATING))
+    for argv in (["kac", "--p", "0"], ["tower", "--p", "0", "--n", "2"],
+                 ["tower-eps", "--n", "2", "--eps", "1/5"],
+                 ["approx", "--eps", "1/2"]):
+        code, report = run(capsys, argv[0], "--system", str(path), *argv[1:],
+                           "--force")
+        assert code == 2 and report["kind"] == "NotConditionallyErgodic", argv
+        assert report["error"] == ("system is not conditionally ergodic: block [0] "
+                                   "is a proper part of the orbit [0, 1]")
+    code, report = run(capsys, "decompose", "--system", str(path), "--p", "0",
+                       "--force")
+    assert code == 0 and report["kac_ok"] is None
 
 
 def test_manual_eps_below_the_supremum_is_exit_2(tmp_path, capsys):

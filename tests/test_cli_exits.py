@@ -7,8 +7,10 @@ integers, heights -1..13, bad rationals, --force on and off, an --out or
 --seed) on small files: valid, non-ergodic, axiom-violating and malformed.
 No exception may escape ``main``; exit 3 prints nothing on stdout and one
 ``error: `` line on stderr; every other exit prints exactly one JSON
-object. An unwritable --out and a removed option are always exit 3. Exit 1
-would be a theorem violation, which none of these files may produce.
+object. An unwritable --out and a removed option are always exit 3, and so
+is an empty --eps once the system has loaded (it is never read as no
+--eps). Exit 1 would be a theorem violation, which none of these files may
+produce.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cepskit.cli import main
 from cepskit.generators import (
@@ -98,14 +100,20 @@ def argvs(draw, names):
     return argv
 
 
+FILE_NAMES = ["cycle12", "malformed", "merged", "swap", "truncated4", "violating"]
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_every_exit_is_in_the_taxonomy(files, data):
-    argv = data.draw(argvs(sorted(set(files) - {"missing-dir"})))
-    force = "--force" in argv
+@given(argv=argvs(FILE_NAMES))
+@example(argv=["approx", "--system", "cycle12", "--manual", "--p", "0", "--n", "2",
+               "--eps", ""])
+@example(argv=["approx", "--system", "cycle12", "--eps", ""])
+def test_every_exit_is_in_the_taxonomy(files, argv):
+    argv = list(argv)
     argv[2] = files[argv[2]]
     unwritable_out = "--out" in argv
     removed_option = "--samples" in argv or "--seed" in argv
+    empty_eps = "--eps" in argv and argv[argv.index("--eps") + 1] == ""
     argv = [a.replace("<missing-dir>", files["missing-dir"]) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -119,5 +127,7 @@ def test_every_exit_is_in_the_taxonomy(files, data):
     assert err == ""
     report = json.loads(out)
     assert isinstance(report, dict)
+    # The load comes first: only a refused system keeps an empty --eps unread.
+    assert not empty_eps or report.get("kind") == "InvalidSystem", report
     # Exit 1 means a theorem violation, and every theorem holds on these files.
     assert code != 1, report

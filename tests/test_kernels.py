@@ -24,10 +24,17 @@ from cepskit.approx import (
     build_s_prime,
     s_prime_operator,
 )
-from cepskit.errors import CepsError, DomainError, TheoremViolation
+from cepskit.errors import (CepsError, DomainError, NotConditionallyErgodic,
+                            TheoremViolation)
 from cepskit.generators import RandomSpec, random_system
 from cepskit.lattice import LatticeElement, band_project, elem
-from cepskit.oracles import first_return_sets, forward_image_union, scan_components
+from cepskit.oracles import (
+    block_average,
+    brute_component_image,
+    first_return_sets,
+    forward_image_union,
+    scan_components,
+)
 from cepskit.recurrence import (
     check_recurrent,
     kac_certificate,
@@ -35,7 +42,8 @@ from cepskit.recurrence import (
     q_component,
     return_decomposition,
 )
-from cepskit.system import Check, GroundSystem, validate_ceps, validate_parts
+from cepskit.system import (Check, GroundSystem, permutation_cycles, validate_ceps,
+                            validate_parts)
 from cepskit.tower import (
     BoundCertificate,
     Tower,
@@ -437,6 +445,48 @@ def test_check_recurrent_is_forward_image_sweep(sys, data):
     q = data.draw(components(sys))
     steps = max(len(c) for c in sys.cycles)
     assert check_recurrent(sys, p, q) == (p <= forward_image_union(sys, q, steps))
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_forward_image_union_is_stepwise_images(sys, data):
+    q = data.draw(components(sys))
+    steps = data.draw(st.integers(0, 2 * sys.size + 2))
+    images = [brute_component_image(sys, -k, q) for k in range(1, steps + 1)]
+    assert forward_image_union(sys, q, steps) == frozenset().union(*images)
+
+
+@st.composite
+def non_ergodic_multi_block(draw) -> GroundSystem:
+    return random_system(RandomSpec(seed=draw(st.integers(0, 2**32)),
+                                    num_blocks=(2, 3), cycle_lengths=(1, 7),
+                                    ergodic=False))
+
+
+@SETTINGS
+@given(st.one_of(non_ergodic_multi_block(), systems), st.data())
+def test_block_average_is_expectation(sys, data):
+    values = data.draw(st.lists(st.fractions(max_denominator=9), min_size=sys.size,
+                                max_size=sys.size))
+    f = LatticeElement(tuple(values))
+    assert block_average(sys, f) == sys.expectation(f)
+
+
+@SETTINGS
+@given(systems)
+def test_ergodicity_is_one_fact(sys):
+    """Ergodic iff no defect iff every block is one tau-cycle; computed once."""
+    cycles = [frozenset(c) for c in permutation_cycles(sys.tau)]
+    whole = [block in cycles for block in sys.blocks]
+    defect = sys.ergodic_defect()
+    assert sys.is_conditionally_ergodic() == (defect is None) == all(whole)
+    assert sys.ergodic_defect() is defect
+    if defect is not None:
+        block, orbits = defect
+        assert block == sys.blocks[whole.index(False)]
+        assert set(orbits) == {c for c in cycles if c & block}
+        error = NotConditionallyErgodic(*defect)
+        assert ("splits into" in str(error)) == (len(orbits) > 1)
 
 
 @SETTINGS
