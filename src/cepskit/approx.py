@@ -37,7 +37,8 @@ from math import floor
 from typing import Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import ZERO, Component, LatticeElement, as_component, band_project, elem
+from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
+                      band_project, elem)
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -50,7 +51,7 @@ class DistanceCertificate:
     mode: str  # always "closed-form"
     eps: Fraction
     majorant: BoundCertificate  # 2Tp + 2T(e-h) <= eps e, exact
-    worst_observed: LatticeElement  # sup over all u of T|(S-S')u|, per block
+    worst_observed: BlockValues  # sup over all u of T|(S-S')u|, per block
     components_checked: int  # sigma-edges examined: the points where tau != tau'
     holds: bool  # worst_observed <= eps e
 
@@ -59,7 +60,7 @@ class DistanceCertificate:
             "mode": self.mode,
             "eps": format_rational(self.eps),
             "majorant": self.majorant.as_dict(),
-            "worst_observed": [format_rational(a) for a in self.worst_observed],
+            "worst_observed": self.worst_observed.formatted(),
             "components_checked": self.components_checked,
             "holds": self.holds,
         }
@@ -175,7 +176,7 @@ def build_s_prime(
         for b in tp.keys() | t_residual.keys()
     })
     if eps is None:
-        eps = max(majorant_element)
+        eps = max(majorant_element.per_block)
     eps = as_rational(eps)
 
     certificate = _certify_distance(sys, tau_prime, majorant_element, eps)
@@ -285,17 +286,17 @@ def _certify_distance(
             blocks = {block_of[x] for x in terms}
             if len(blocks) == 1:
                 cut[blocks.pop()] -= min(weight[x] for x in terms)
-    per_block = [Fraction(c, m) for c, m in zip(cut, mass)]
     return DistanceCertificate(
         mode="closed-form",
         eps=eps,
         majorant=BoundCertificate(
             name="distance-majorant",
             lhs=majorant_element,
-            rhs=eps * sys.unit,
+            rhs=sys.block_constant(eps),
             relation="<=",
         ),
-        worst_observed=LatticeElement(tuple(per_block[b] for b in block_of)),
+        worst_observed=BlockValues((Fraction(c, m) for c, m in zip(cut, mass)),
+                                   block_of),
         components_checked=edges,
         holds=all(c * eps.denominator <= eps.numerator * m for c, m in zip(cut, mass)),
     )

@@ -55,7 +55,7 @@ from .generators import (
     truncated_counterexample,
 )
 from .lattice import ZERO
-from .rationals import format_rational
+from .rationals import format_rational, parse_integer
 from .recurrence import first_return_time, kac_certificate, return_decomposition, \
     check_recurrent
 from .suites import SUITE_NAMES, run_suite
@@ -67,10 +67,19 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(f"{message}\n{self.format_usage()}")
 
 
+def _integer_option(raw: str) -> int:
+    """The argparse type of every integer option: ``parse_integer``."""
+    try:
+        return parse_integer(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+
+
 def _parse_indices(raw: str, size: int) -> frozenset[int]:
     """A CSV of indices (--p, --q, --v), each inside the loaded ground set."""
     try:
-        indices = frozenset(map(int, raw.split(","))) if raw.strip() else frozenset()
+        indices = (frozenset(map(parse_integer, raw.split(",")))
+                   if raw.strip(" ") else frozenset())
     except ValueError as exc:
         raise MalformedInput(f"bad index list {raw!r}: {exc}") from None
     outside = sorted(i for i in indices if not 0 <= i < size)
@@ -100,7 +109,7 @@ def _parse_eps(raw: str) -> Fraction:
 def _parse_range(raw: str) -> tuple[int, int]:
     try:
         lo, _, hi = raw.partition(":")
-        return (int(lo), int(hi if hi else lo))
+        return (parse_integer(lo), parse_integer(hi if hi else lo))
     except ValueError as exc:
         raise MalformedInput(f"bad range {raw!r} (expected LO:HI): {exc}") from None
 
@@ -142,7 +151,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cepskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed = os.environ.get("CEPSKIT_SEED", "0")  # argparse applies type=int to it
+    seed = os.environ.get("CEPSKIT_SEED", "0")  # argparse applies the type to it
 
     def common(p, system=True, force=True):
         if system:
@@ -158,14 +167,14 @@ def build_parser() -> _Parser:
     gen = common(sub.add_parser("gen", help="generate a system file"), system=False)
     gen.add_argument("--kind", required=True,
                      choices=["cycle", "swap", "product", "random"])
-    gen.add_argument("--m", type=int, help="cycle length (kind=cycle)")
+    gen.add_argument("--m", type=_integer_option, help="cycle length (kind=cycle)")
     gen.add_argument("--cycles", help="CSV of cycle lengths (kind=product)")
-    gen.add_argument("--truncated", type=int,
+    gen.add_argument("--truncated", type=_integer_option,
                      help="product of cycles 1..M (kind=product)")
-    gen.add_argument("--seed", type=int, default=seed)
+    gen.add_argument("--seed", type=_integer_option, default=seed)
     gen.add_argument("--num-blocks", default="1:3")
     gen.add_argument("--cycle-lengths", default="1:8")
-    gen.add_argument("--denom-bound", type=int, default=12)
+    gen.add_argument("--denom-bound", type=_integer_option, default=12)
     gen.add_argument("--non-ergodic", action="store_true")
 
     kac = common(sub.add_parser("kac", help="Kac identity certificate"))
@@ -180,22 +189,22 @@ def build_parser() -> _Parser:
 
     tw = common(sub.add_parser("tower", help="epsilon-free tower"))
     tw.add_argument("--p", required=True)
-    tw.add_argument("--n", type=int, required=True)
+    tw.add_argument("--n", type=_integer_option, required=True)
     tw.add_argument("--csv", help="write level masses as CSV")
 
     te = common(sub.add_parser("tower-eps", help="epsilon-bounded tower"))
-    te.add_argument("--n", type=int, required=True)
+    te.add_argument("--n", type=_integer_option, required=True)
     te.add_argument("--eps", required=True)
     te.add_argument("--csv", help="write level masses as CSV")
 
     tl = common(sub.add_parser("tower-ls", help="epsilon-bounded tower under L_S"))
     tl.add_argument("--v", required=True)
-    tl.add_argument("--n", type=int, required=True)
+    tl.add_argument("--n", type=_integer_option, required=True)
     tl.add_argument("--eps", required=True)
 
     ap = common(sub.add_parser("aperiodic", help="N-aperiodicity surrogate"))
     ap.add_argument("--v", required=True)
-    ap.add_argument("--N", "--n", type=int, required=True, dest="horizon")
+    ap.add_argument("--N", "--n", type=_integer_option, required=True, dest="horizon")
     ap.add_argument("--mode", default="criterion",
                     choices=["criterion", "definitional", "both"])
 
@@ -203,15 +212,15 @@ def build_parser() -> _Parser:
     px.add_argument("--eps")
     px.add_argument("--manual", action="store_true")
     px.add_argument("--p")
-    px.add_argument("--n", type=int)
+    px.add_argument("--n", type=_integer_option)
     px.add_argument("--csv", help="write the worst distance profile as CSV")
 
     su = common(sub.add_parser("suite", help="seeded property suites"),
                 system=False)
     su.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
-    su.add_argument("--trials", type=int, default=100)
-    su.add_argument("--seed", type=int, default=seed)
-    su.add_argument("--first-trial", type=int, default=0)
+    su.add_argument("--trials", type=_integer_option, default=100)
+    su.add_argument("--seed", type=_integer_option, default=seed)
+    su.add_argument("--first-trial", type=_integer_option, default=0)
 
     common(sub.add_parser("demo-paper-examples",
                           help="reproduce the worked-example tables"),
@@ -237,7 +246,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
             sys = truncated_counterexample(args.truncated)
         elif args.cycles:
             try:
-                lengths = [int(m) for m in args.cycles.split(",")]
+                lengths = [parse_integer(m) for m in args.cycles.split(",")]
             except ValueError as exc:
                 raise MalformedInput(f"bad --cycles {args.cycles!r}: {exc}") from None
             sys = direct_product([single_cycle(m) for m in lengths])
@@ -269,8 +278,8 @@ def _cmd_kac(args, sys) -> tuple[int, dict, dict]:
     p = _parse_indices(args.p, sys.size)
     lhs, rhs, ok = kac_certificate(sys, p)
     return (0 if ok else 1), {"p": sorted(p)}, {
-        "Tn(p)": [format_rational(a) for a in lhs],
-        "P_Tp_e": [format_rational(a) for a in rhs],
+        "Tn(p)": lhs.formatted(),
+        "P_Tp_e": rhs.formatted(),
         "equal": ok,
         "outcome": "pass" if ok else "fail",
     }
@@ -356,7 +365,7 @@ def _cmd_approx(args, sys) -> tuple[int, dict, dict]:
     if args.csv:
         worst = result.certificate.worst_observed
         _write_csv(args.csv, ["coordinate", "worst_distance"],
-                   [[i, format_rational(w)] for i, w in enumerate(worst)])
+                   [[i, w] for i, w in enumerate(worst.formatted())])
     # An explicit --eps below the exact supremum over a hand-picked base is
     # missed, not violated; without --eps the bound is the majorant, which
     # the theorem guarantees.

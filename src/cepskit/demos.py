@@ -38,7 +38,7 @@ def _show(value):
     from .lattice import LatticeElement
 
     if isinstance(value, LatticeElement):
-        return [format_rational(a) for a in value]
+        return value.formatted()
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     if isinstance(value, Fraction):

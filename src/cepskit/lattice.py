@@ -6,6 +6,9 @@ and max. The weak order unit e is the all-ones element. Components of e
 (the lattice analogue of measurable sets) carry a dedicated subset
 representation: a frozenset of indices, convertible to and from the
 {0,1}-valued element by ``indicator`` and ``support_component``.
+An element constant on the blocks of a partition, such as T of anything,
+can be held as a ``BlockValues``: one value per block, compared block by
+block and expanded to the dense tuple only when that is asked for.
 
 Everything here is an immutable value; every operation returns a new one.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, DomainError
@@ -104,7 +108,8 @@ class LatticeElement:
         return all(a <= b for a, b in zip(self.values, other.values))
 
     def __ge__(self, other: "LatticeElement") -> bool:
-        return other <= self
+        self._check_same_length(other)
+        return all(a >= b for a, b in zip(self.values, other.values))
 
     def is_nonnegative(self) -> bool:
         return all(a >= ZERO for a in self.values)
@@ -117,8 +122,58 @@ class LatticeElement:
         """Indices with a nonzero entry (for any sign)."""
         return frozenset(i for i, a in enumerate(self.values) if a != ZERO)
 
+    def formatted(self) -> list[str]:
+        """Every entry in the wire format "a/b", in order."""
+        return [format_rational(a) for a in self.values]
+
     def __repr__(self) -> str:
-        return "(" + ", ".join(format_rational(a) for a in self.values) + ")"
+        return "(" + ", ".join(self.formatted()) + ")"
+
+
+class BlockValues(LatticeElement):
+    """An element constant on the blocks of a partition, one value per block.
+
+    ``owner[x]`` is the block of point x and ``per_block[b]`` the value on
+    block b; every block has a point. ``==`` and ``<=`` between two on the
+    same blocks compare O(#blocks) values. ``values``, the dense tuple, is
+    built on first request and cached; everything else reads it, so it is
+    coordinatewise against a dense element.
+    """
+
+    def __init__(self, per_block: Iterable[Fraction], owner: tuple[int, ...]):
+        per_block = tuple(per_block)
+        if not all(isinstance(v, Fraction) for v in per_block):
+            raise DomainError("lattice element entries must be exact Fractions")
+        object.__setattr__(self, "per_block", per_block)
+        object.__setattr__(self, "owner", owner)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        per_block = self.per_block
+        return tuple(per_block[b] for b in self.owner)
+
+    def _same_blocks(self, other) -> bool:
+        return isinstance(other, BlockValues) and (
+            self.owner is other.owner or self.owner == other.owner)
+
+    def __eq__(self, other) -> bool:
+        if self._same_blocks(other):
+            return self.per_block == other.per_block
+        if isinstance(other, LatticeElement):
+            return self.values == other.values
+        return NotImplemented
+
+    __hash__ = LatticeElement.__hash__
+
+    def __le__(self, other: LatticeElement) -> bool:
+        if self._same_blocks(other):
+            return all(a <= b for a, b in zip(self.per_block, other.per_block))
+        return super().__le__(other)
+
+    def formatted(self) -> list[str]:
+        """Each block value formatted once, then spread over its points."""
+        text = [format_rational(a) for a in self.per_block]
+        return [text[b] for b in self.owner]
 
 
 def elem(values: Iterable[RationalLike]) -> LatticeElement:

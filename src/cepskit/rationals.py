@@ -2,11 +2,14 @@
 
 Every scalar in the toolkit is a fractions.Fraction (arbitrary precision,
 always in lowest terms, positive denominator). Serialized form is the
-string "a/b", with "/b" omitted when the denominator is 1.
+string "a/b", with "/b" omitted when the denominator is 1. Integer inputs
+given as text (indices, heights, seeds, widths) are read by
+``parse_integer`` alone.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError
@@ -30,6 +33,21 @@ def as_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}: {exc}") from None
     raise DomainError(f"not a rational: {value!r} (floats are banned, use Fraction)")
+
+
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """An integer written as -?[0-9]+, with ASCII spaces around it allowed.
+
+    Stricter than int(), which also reads "1_0", "+3", non-ASCII digits and
+    other whitespace; those raise ValueError here, with int()'s message.
+    """
+    digits = text.strip(" ")
+    if not _INTEGER.fullmatch(digits):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(digits)
 
 
 def format_rational(value: Fraction) -> str:

@@ -25,6 +25,7 @@ from .errors import MalformedInput
 from .generators import RandomSpec, random_component, random_system, single_cycle
 from .lattice import LatticeElement
 from .oracles import first_return_sets
+from .rationals import parse_integer
 from .system import GroundSystem, validate_ceps
 
 def _trial_system(
@@ -193,7 +194,7 @@ def _parallel_width() -> int:
     """CEPSKIT_PARALLEL, clamped to 1..os.cpu_count(); not an integer is refused."""
     raw = os.environ.get("CEPSKIT_PARALLEL", "1")
     try:
-        width = int(raw)
+        width = parse_integer(raw)
     except ValueError:
         raise MalformedInput(
             f"CEPSKIT_PARALLEL must be an integer, got {raw!r}") from None

@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
-from .lattice import ZERO, Component, LatticeElement, as_component, indicator, ones
+from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
+                      indicator, ones)
 from .rationals import as_rational, format_rational
 
 
@@ -241,13 +242,19 @@ class GroundSystem:
             sums[b] = sums.get(b, 0) + weight[x]
         return {b: Fraction(total, mass[b]) for b, total in sums.items()}
 
-    def block_element(self, values: Mapping[int, Fraction]) -> LatticeElement:
-        """The dense element equal to values[b] on block b, 0 on blocks not listed.
+    def block_element(self, values: Mapping[int, Fraction]) -> BlockValues:
+        """The element equal to values[b] on block b, 0 on blocks not listed.
 
-        Expands a block-constant result such as ``component_expectation``
-        into the LatticeElement a certificate stores.
+        Holds a block-constant result such as ``component_expectation`` as
+        one value per block, the form a certificate side stores; its dense
+        ``values`` are built only when read.
         """
-        return LatticeElement(tuple(values.get(b, ZERO) for b in self.block_of))
+        return BlockValues((values.get(b, ZERO) for b in range(len(self.blocks))),
+                           self.block_of)
+
+    def block_constant(self, c: Fraction) -> BlockValues:
+        """c e, held as the one value c on every block."""
+        return BlockValues((c,) * len(self.blocks), self.block_of)
 
     def koopman(self, j: int, f: LatticeElement) -> LatticeElement:
         """S^j f, i.e. f o tau^j; j may be any integer since tau is a bijection."""
@@ -410,10 +417,11 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
         Check("weights-wellformed", ok_w,
               None if ok_w else f"expected {size} rationals, got {len(weights)}")
     )
-    ok_pos = ok_w and all(w > 0 for w in weights)
+    # A Fraction's sign is its numerator's; int comparisons are much cheaper.
+    ok_pos = ok_w and all(w.numerator > 0 for w in weights)
     witness = None
     if ok_w and not ok_pos:
-        witness = next(i for i, w in enumerate(weights) if w <= 0)
+        witness = next(i for i, w in enumerate(weights) if w.numerator <= 0)
     checks.append(Check("weights-strictly-positive", ok_pos, witness))
 
     covered: set[int] = set()
@@ -449,11 +457,11 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
             break
     checks.append(Check("blocks-tau-invariant", witness is None, witness))
 
+    # As tuples first: generated systems share one weight object per cycle,
+    # which tuple comparison matches by identity.
     witness = None
-    for i in range(size):
-        if weights[tau[i]] != weights[i]:
-            witness = i
-            break
+    if tuple(weights[t] for t in tau) != tuple(weights):
+        witness = next(i for i in range(size) if weights[tau[i]] != weights[i])
     checks.append(Check("weights-tau-invariant", witness is None, witness))
 
     return ValidationReport(tuple(checks))

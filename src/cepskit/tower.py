@@ -22,19 +22,22 @@ All inequalities are certified with both sides stored verbatim as exact
 rationals. The base is read off cycle positions (S^j moves a point j
 places back along its tau-cycle), the levels come from
 ``component_image``, and T of a component is taken block by block with
-``component_expectation`` before it is expanded into a certificate side.
+``component_expectation``. Every side is T of something or a multiple of
+e, so it is constant on blocks: it is stored as ``BlockValues`` (per
+tau-cycle for the L_S bound, whose blocks are the orbits) and compared
+in O(#blocks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import floor
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotAperiodicAtHorizon, TheoremViolation
-from .lattice import ONE, ZERO, Component, LatticeElement, as_component
+from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement, as_component
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
 from .system import GroundSystem
@@ -42,23 +45,28 @@ from .system import GroundSystem
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """An audited inequality: both sides verbatim, plus the direction."""
+    """An audited inequality: both sides verbatim, plus the direction.
+
+    ``holds`` is decided once, when the certificate is made; sides held
+    per block on the same blocks are compared block by block.
+    """
 
     name: str
     lhs: LatticeElement
     rhs: LatticeElement
     relation: str  # "<=" or ">="
+    holds: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs if self.relation == "<=" else self.rhs <= self.lhs
+    def __post_init__(self):
+        holds = self.lhs <= self.rhs if self.relation == "<=" else self.rhs <= self.lhs
+        object.__setattr__(self, "holds", holds)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "lhs": [format_rational(a) for a in self.lhs],
+            "lhs": self.lhs.formatted(),
             "relation": self.relation,
-            "rhs": [format_rational(a) for a in self.rhs],
+            "rhs": self.rhs.formatted(),
             "holds": self.holds,
         }
 
@@ -275,7 +283,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
     residual_bound = BoundCertificate(
         name="residual-mass-bound",
         lhs=sys.block_element(sys.component_expectation(tower.residual)),
-        rhs=eps * sys.unit,
+        rhs=sys.block_constant(eps),
         relation="<=",
     )
     if not residual_bound.holds:
@@ -289,7 +297,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
         BoundCertificate(
             name="base-mass-times-horizon",
             lhs=sys.block_element({b: horizon * t for b, t in tp.items()}),
-            rhs=sys.unit,
+            rhs=sys.block_constant(ONE),
             relation="<=",
         )
     )
@@ -298,7 +306,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
             BoundCertificate(
                 name="base-mass-bound",
                 lhs=sys.block_element(tp),
-                rhs=(eps / (n - 1)) * sys.unit,
+                rhs=sys.block_constant(eps / (n - 1)),
                 relation="<=",
             )
         )
@@ -330,7 +338,8 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         raise DomainError(f"{sorted(v)} is not a union of tau-orbits")
 
     horizon = floor(Fraction(n - 1) / eps) + 1
-    for c in {sys.cycle_of[x] for x in v}:
+    cycles_in_v = {sys.cycle_of[x] for x in v}
+    for c in cycles_in_v:
         cyc = sys.cycles[c]
         if len(cyc) <= horizon:
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
@@ -343,11 +352,18 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         frozenset(embed[i] for i in level) for level in sub_tower.levels
     )
     covered = frozenset().union(*levels)
-    chi_v = sys.indicator(v)
+    # L_S(v - levels) and eps v, per tau-cycle: L_S averages over each cycle.
+    left = [0] * len(sys.cycles)
+    for x in v:
+        left[sys.cycle_of[x]] += 1
+    for x in covered:
+        left[sys.cycle_of[x]] -= 1
     ls_bound = BoundCertificate(
         name="ls-residual-mass-bound",
-        lhs=sys.cesaro_mean(chi_v - sys.indicator(covered)),
-        rhs=eps * chi_v,
+        lhs=BlockValues((Fraction(k, len(cyc)) for k, cyc in zip(left, sys.cycles)),
+                        sys.cycle_of),
+        rhs=BlockValues((eps if c in cycles_in_v else ZERO
+                         for c in range(len(sys.cycles))), sys.cycle_of),
         relation="<=",
     )
     if not ls_bound.holds:

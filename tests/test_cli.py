@@ -506,6 +506,38 @@ def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
     assert code == 0 and report["certificate"]["holds"] is True
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", "\t3", "3.0"])
+@pytest.mark.parametrize("argv, env", [
+    (["kac", "--system", "{swap}", "--p", "{v}"], None),
+    (["recurrent", "--system", "{swap}", "--p", "0", "--q", "0,{v}"], None),
+    (["tower", "--system", "{swap}", "--p", "0", "--n", "{v}"], None),
+    (["gen", "--kind", "cycle", "--m", "{v}"], None),
+    (["gen", "--kind", "product", "--cycles", "2,{v}"], None),
+    (["gen", "--kind", "random", "--num-blocks", "1:{v}"], None),
+    (["suite", "kac", "--trials", "{v}"], None),
+    (["gen", "--kind", "random"], "CEPSKIT_SEED"),
+    (["suite", "kac", "--trials", "1"], "CEPSKIT_PARALLEL"),
+], ids=["p", "q", "n", "m", "cycles", "range", "trials", "env-seed", "env-parallel"])
+def test_integer_inputs_are_strict(swap_file, capsys, monkeypatch, argv, env, value):
+    """Every integer input is -?[0-9]+ in ASCII spaces; int() would read these."""
+    if env:
+        monkeypatch.setenv(env, value)
+    code = main([a.format(swap=swap_file, v=value) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_integer_inputs_take_surrounding_spaces(swap_file, capsys, monkeypatch):
+    code, report = run(capsys, "kac", "--system", swap_file, "--p", "0, 1")
+    assert code == 0 and report["inputs"]["p"] == [0, 1]
+    code, report = run(capsys, "tower", "--system", swap_file, "--p", " 0", "--n", "2 ")
+    assert code == 0 and report["inputs"]["n"] == 2
+    monkeypatch.setenv("CEPSKIT_SEED", " -7 ")
+    code, report = run(capsys, "suite", "kac", "--trials", "1")
+    assert code == 0 and report["inputs"]["seed"] == -7
+
+
 def test_validate_takes_no_force(swap_file, capsys):
     code = main(["validate", "--system", swap_file, "--force"])
     captured = capsys.readouterr()

@@ -5,10 +5,13 @@ dense route it replaced: T and S' applied to every coordinate indicator,
 the exhaustive scan of the conditional distance over all 2^N components
 (itself checked against a Fraction scan), the lattice formula for q(p,k),
 the forward-image sweep for recurrence, the suffix-union formula for the
-tower base, and dense T of indicators for every certificate side.
-Systems are drawn from ``random_system`` and from force-admitted
-candidates that break the CEPS axioms, all with at most 64 points (16
-where the reference is exhaustive over components).
+tower base, and dense T of indicators for every certificate side. The
+sides are held one value per block (``BlockValues``): their dense
+``values``, their ``holds`` and the Kac flag must equal the dense
+formulas and comparisons they replaced. Systems are drawn from
+``random_system`` and from force-admitted candidates that break the CEPS
+axioms, all with at most 64 points (16 where the reference is exhaustive
+over components).
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ from cepskit.approx import (
 from cepskit.errors import (CepsError, DomainError, NotConditionallyErgodic,
                             TheoremViolation)
 from cepskit.generators import RandomSpec, random_system
-from cepskit.lattice import LatticeElement, band_project, elem
+from cepskit.lattice import BlockValues, LatticeElement, band_project, elem
 from cepskit.oracles import (
     block_average,
     brute_component_image,
@@ -42,6 +45,7 @@ from cepskit.recurrence import (
     q_component,
     return_decomposition,
 )
+from cepskit.rationals import format_rational
 from cepskit.system import (Check, GroundSystem, permutation_cycles, validate_ceps,
                             validate_parts)
 from cepskit.tower import (
@@ -49,6 +53,7 @@ from cepskit.tower import (
     Tower,
     build_tower,
     build_tower_eps,
+    build_tower_eps_ls,
     proof_chain_identity,
 )
 
@@ -328,6 +333,19 @@ def reference_tower(sys: GroundSystem, p, n: int) -> Tower:
                  bound_certificate=certificate, degenerate=not p)
 
 
+def dense_holds(lhs, rhs, relation: str) -> bool:
+    """A certificate's inequality, coordinate by coordinate on the dense tuples."""
+    small, large = (lhs, rhs) if relation == "<=" else (rhs, lhs)
+    return all(a <= b for a, b in zip(small.values, large.values, strict=True))
+
+
+def assert_sides(cert, lhs, rhs) -> None:
+    """The certificate's sides expand to the dense lhs and rhs, and holds agrees."""
+    assert cert.lhs.values == lhs.values
+    assert cert.rhs.values == rhs.values
+    assert cert.holds == dense_holds(lhs, rhs, cert.relation)
+
+
 def outcome(fn, *args):
     """A result, or the class and message of the TheoremViolation raised."""
     try:
@@ -355,6 +373,48 @@ def test_component_expectation_is_dense_t(sys, data):
     dense = sys.expectation(sys.indicator(c))
     assert tuple(sparse.get(sys.block_of[i], 0) for i in range(sys.size)) \
         == dense.values
+
+
+def block_values_on(owner):
+    """One small rational per block of the partition ``owner``."""
+    count = max(owner) + 1
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    return st.lists(values, min_size=count, max_size=count)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_block_values_are_their_dense_expansion(sys, data):
+    """Per-block ==, <=, >= and holds agree with the dense tuples, on one
+    partition and across the block and cycle partitions."""
+    a = data.draw(block_values_on(sys.block_of))
+    # b equals a on some blocks, so that < and <= differ
+    steps = st.sampled_from([0, 0, Fraction(1, 3), Fraction(-1, 2)])
+    b = [x + data.draw(steps) for x in a]
+    c = data.draw(block_values_on(sys.cycle_of))
+    # (block-valued, dense) for a and b on the blocks and c on the cycles
+    elements = [(BlockValues(per, owner), LatticeElement(tuple(per[o] for o in owner)))
+                for per, owner in ((a, sys.block_of), (b, sys.block_of),
+                                   (c, sys.cycle_of))]
+    for v, d in elements:
+        assert v.values == d.values and list(v) == list(d) and len(v) == sys.size
+        assert v.formatted() == [format_rational(t) for t in d]
+        assert hash(v) == hash(d) and repr(v) == repr(d)
+    for left, dl in elements:
+        for right, dr in elements:
+            for r in (right, dr):  # block by block, and against the dense form
+                assert (left == r) == (r == left) == (dl.values == dr.values)
+                assert (left <= r) == (r >= left) == dense_holds(dl, dr, "<=")
+                assert (left >= r) == (r <= left) == dense_holds(dl, dr, ">=")
+            for relation in ("<=", ">="):
+                cert = BoundCertificate("sides", left, right, relation)
+                assert cert.holds == dense_holds(dl, dr, relation)
+    # The same values on renumbered blocks expand to their own dense view,
+    # and the first element's cached view is still its own.
+    order = data.draw(st.permutations(range(len(a))))
+    renumbered = BlockValues(a, tuple(order[o] for o in sys.block_of))
+    assert renumbered.values == tuple(a[order[o]] for o in sys.block_of)
+    assert elements[0][0].values == elements[0][1].values
 
 
 @SETTINGS
@@ -547,6 +607,65 @@ def test_tower_eps_certificate_sides_are_dense_t(sys, data):
         assert (extras[2].lhs, extras[2].rhs) \
             == (dense_t(sys, p), (eps / (n - 1)) * sys.unit)
     assert len(extras) == (3 if n >= 2 else 2)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_certificate_sides_expand_to_the_dense_formulas(sys, data):
+    """Each block-valued side's values are dense T of the component (or the
+    dense formula the side replaced); holds and the Kac flag are the dense
+    comparisons."""
+    p = data.draw(components(sys))
+    n = data.draw(st.integers(1, 5))
+    eps = data.draw(st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(1)]))
+    kac = result_or_error(kac_certificate, sys, p)
+    if isinstance(kac[0], LatticeElement):
+        (lhs, rhs, ok), reference = kac, reference_kac(sys, p)
+        assert (lhs.values, rhs.values) == (reference[0].values, reference[1].values)
+        assert ok == (lhs.values == rhs.values)
+    tower = result_or_error(build_tower, sys, p, n)
+    if isinstance(tower, Tower):
+        reference = reference_tower(sys, p, n).bound_certificate
+        assert_sides(tower.bound_certificate, reference.lhs, reference.rhs)
+    tower = result_or_error(build_tower_eps, sys, n, eps)
+    if isinstance(tower, Tower):
+        base = frozenset(cyc[0] for cyc in sys.cycles)  # the base component c_N
+        residual, inner, times_horizon, *base_mass = (tower.bound_certificate,
+                                                      *tower.extra_certificates)
+        assert_sides(residual, dense_t(sys, tower.residual), eps * sys.unit)
+        reference = reference_tower(sys, base, n).bound_certificate
+        assert_sides(inner, reference.lhs, reference.rhs)
+        horizon = floor((n - 1) / eps) + 1
+        assert_sides(times_horizon, horizon * dense_t(sys, base), sys.unit)
+        for cert in base_mass:
+            assert_sides(cert, dense_t(sys, base), (eps / (n - 1)) * sys.unit)
+    # A base of points n + 1 apart on cycles long enough has disjoint iterates.
+    spaced = [cyc[i] for cyc in sys.cycles if len(cyc) > n
+              for i in range(0, len(cyc) - n, n + 1)]
+    chosen = frozenset(x for x in spaced if data.draw(st.booleans()))
+    approx = result_or_error(build_s_prime, sys, chosen, n + 1)
+    if not isinstance(approx, tuple):
+        off_tower = sys.ground_set() - approx.tower
+        majorant = 2 * dense_t(sys, chosen) + 2 * dense_t(sys, off_tower)
+        assert_sides(approx.certificate.majorant, majorant, approx.eps * sys.unit)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_ls_bound_sides_are_dense_cesaro_mean(sys, data):
+    """L_S(v - levels) <= eps v, held per tau-cycle, against the dense L_S."""
+    chosen = data.draw(st.sets(st.sampled_from(sys.cycles), min_size=1))
+    v = frozenset().union(*chosen)
+    n = data.draw(st.integers(1, 3))
+    eps = data.draw(st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(1),
+                                     Fraction(3, 2)]))
+    tower = result_or_error(build_tower_eps_ls, sys, v, n, eps)
+    if isinstance(tower, tuple):  # refused: a short cycle, or an invalid L_S system
+        return
+    chi_v = sys.indicator(v)
+    left = sys.cesaro_mean(chi_v - sys.indicator(tower.covered()))
+    assert_sides(tower.bound_certificate, left, eps * chi_v)
 
 
 @SETTINGS
