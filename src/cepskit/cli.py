@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys as _sys
@@ -55,7 +56,7 @@ from .generators import (
     truncated_counterexample,
 )
 from .lattice import ZERO
-from .rationals import format_rational, parse_integer
+from .rationals import format_rational, parse_integer, parse_rational
 from .recurrence import first_return_time, kac_certificate, return_decomposition, \
     check_recurrent
 from .suites import SUITE_NAMES, run_suite
@@ -63,6 +64,9 @@ from .tower import build_tower, build_tower_eps, build_tower_eps_ls, n_aperiodic
 
 
 class _Parser(argparse.ArgumentParser):
+    # The --seed options whose default _parse_args refreshes from CEPSKIT_SEED.
+    seed_options: tuple[argparse.Action, ...] = ()
+
     def error(self, message):  # argparse would exit 2; the taxonomy wants 3
         raise MalformedInput(f"{message}\n{self.format_usage()}")
 
@@ -101,7 +105,7 @@ def _check_height(n: int, size: int) -> None:
 
 def _parse_eps(raw: str) -> Fraction:
     try:
-        return Fraction(raw)
+        return parse_rational(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {raw!r}: {exc}") from None
 
@@ -147,11 +151,18 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+_DEFAULT_SEED = "0"  # a string, like CEPSKIT_SEED: argparse applies the type
+
+
 def build_parser() -> _Parser:
+    """The cepskit argument parser; it reads no call-time state.
+
+    ``main`` parses with one parser per process (``_cached_parser``), and
+    ``_parse_args`` sets its --seed defaults of gen and suite from
+    CEPSKIT_SEED on every call.
+    """
     parser = _Parser(prog="cepskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seed = os.environ.get("CEPSKIT_SEED", "0")  # argparse applies the type to it
 
     def common(p, system=True, force=True):
         if system:
@@ -171,7 +182,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--cycles", help="CSV of cycle lengths (kind=product)")
     gen.add_argument("--truncated", type=_integer_option,
                      help="product of cycles 1..M (kind=product)")
-    gen.add_argument("--seed", type=_integer_option, default=seed)
+    gen_seed = gen.add_argument("--seed", type=_integer_option, default=_DEFAULT_SEED)
     gen.add_argument("--num-blocks", default="1:3")
     gen.add_argument("--cycle-lengths", default="1:8")
     gen.add_argument("--denom-bound", type=_integer_option, default=12)
@@ -219,13 +230,26 @@ def build_parser() -> _Parser:
                 system=False)
     su.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
     su.add_argument("--trials", type=_integer_option, default=100)
-    su.add_argument("--seed", type=_integer_option, default=seed)
+    suite_seed = su.add_argument("--seed", type=_integer_option, default=_DEFAULT_SEED)
     su.add_argument("--first-trial", type=_integer_option, default=0)
 
     common(sub.add_parser("demo-paper-examples",
                           help="reproduce the worked-example tables"),
            system=False)
+    parser.seed_options = (gen_seed, suite_seed)
     return parser
+
+
+_cached_parser = functools.cache(build_parser)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv with the process's one parser and the current CEPSKIT_SEED."""
+    parser = _cached_parser()
+    seed = os.environ.get("CEPSKIT_SEED", _DEFAULT_SEED)
+    for action in parser.seed_options:
+        action.default = seed
+    return parser.parse_args(argv)
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -453,7 +477,7 @@ def _run(args) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         code, report = _run(args)
         # A generated system is itself gen's --out file (already written).
         _emit(report, None if args.command == "gen" and code == 0 else args.out)

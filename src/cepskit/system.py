@@ -523,11 +523,31 @@ def _array(value) -> list:
     raise ValueError(value)
 
 
+def _parse_weights(raw) -> tuple[Fraction, ...]:
+    """The weights array, each distinct string parsed once and its Fraction shared.
+
+    Only strings are memoised: anything else (an int, a bool, a float, a list)
+    goes through ``as_rational`` on its own, as does the first occurrence of
+    each string, so the first bad weight raises the same DomainError.
+    """
+    parsed: dict[str, Fraction] = {}
+    weights = []
+    for w in _array(raw):
+        if isinstance(w, str):
+            value = parsed.get(w)
+            if value is None:
+                value = parsed[w] = as_rational(w)
+        else:
+            value = as_rational(w)
+        weights.append(value)
+    return tuple(weights)
+
+
 def _parse_parts(candidate: Mapping):
     size = candidate["size"]
     if not isinstance(size, int) or isinstance(size, bool):
         raise DomainError(f"size must be an integer, got {size!r}")
-    weights = tuple(as_rational(w) for w in _array(candidate["weights"]))
+    weights = _parse_weights(candidate["weights"])
     blocks = tuple(frozenset(_index(i) for i in _array(block))
                    for block in _array(candidate["blocks"]))
     tau = tuple(_index(i) for i in _array(candidate["tau"]))

@@ -326,7 +326,9 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
     Conditional ergodicity of the ambient system is not required: blocks
     are replaced by orbits (the L_S refinement) and the construction runs
     on the restriction to v. The certificate bounds L_S(v - levels) by
-    eps*v on the original system.
+    eps*v on the original system, so its sides cover all of Omega. The
+    extra certificates are the sub-tower's: their sides live on the
+    restricted subsystem, |v| points renumbered in the sorted order of v.
     """
     eps = as_rational(eps)
     if eps <= 0:

@@ -538,6 +538,115 @@ def test_integer_inputs_take_surrounding_spaces(swap_file, capsys, monkeypatch):
     assert code == 0 and report["inputs"]["seed"] == -7
 
 
+@pytest.mark.parametrize("value", ["0.5", "1e-1", "0.2e0", "1_0", "+1/5", "\u0663",
+                                   "\t1/5", "1/5.0", "1 /5"])
+@pytest.mark.parametrize("argv", [
+    ["tower-eps", "--system", "{swap}", "--n", "2", "--eps", "{v}"],
+    ["tower-ls", "--system", "{swap}", "--v", "0,1", "--n", "2", "--eps", "{v}"],
+    ["approx", "--system", "{swap}", "--eps", "{v}"],
+    ["approx", "--system", "{swap}", "--manual", "--p", "0", "--n", "2",
+     "--eps", "{v}"],
+], ids=["tower-eps", "tower-ls", "approx", "approx-manual"])
+def test_eps_is_strict(swap_file, capsys, argv, value):
+    """--eps is -?[0-9]+(/[0-9]+)? in ASCII spaces; Fraction() would read these."""
+    code = main([a.format(swap=swap_file, v=value) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (f"error: bad rational {value!r}: "
+                            f"Invalid literal for Fraction: {value!r}\n")
+
+
+@pytest.mark.parametrize("weight", ["\u0663", "0.5e1", "0.5", "1e-1", "+3", "1_0",
+                                    "\t1/2", "1/2 ", "3/1.0"])
+def test_file_weights_are_strict(tmp_path, capsys, weight):
+    """A weight outside the rational grammar fails parseable, with exit 2.
+
+    With Fraction() the pieces would parse ("0.5e1" is 5) and every check
+    of the system below would pass; "1/2 " is the one accepted here.
+    """
+    raw = {"size": 2, "weights": [weight, "0.5e1" if weight == "\u0663" else "1"],
+           "blocks": [[0], [1]], "tau": [0, 1]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(raw))
+    code, report = run(capsys, "validate", "--system", str(path))
+    if weight == "1/2 ":
+        assert code == 0 and report["valid"] is True
+        return
+    assert code == 2
+    assert report["checks"] == [{
+        "name": "parseable", "passed": False,
+        "witness": f"cannot parse rational from {weight!r}: "
+                   f"Invalid literal for Fraction: {weight!r}",
+    }]
+
+
+# -- one parser per process --
+
+def _help_text(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        parse([*argv, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [[]] + [[name] for name in
+                                            [*cli._VERDICTS, *cli._COMMANDS]],
+                         ids=lambda argv: argv[0] if argv else "cepskit")
+def test_cached_parser_help_matches_a_fresh_parser(capsys, command):
+    fresh = _help_text(cli.build_parser().parse_args, command, capsys)
+    assert fresh.startswith("usage: cepskit")
+    assert _help_text(main, command, capsys) == fresh
+    assert _help_text(main, command, capsys) == fresh
+
+
+def test_cached_parser_reads_env_seed_on_every_call(capsys, monkeypatch):
+    explicit = {}
+    for seed in ("5", "6", "0"):
+        assert main(["gen", "--kind", "random", "--seed", seed]) == 0
+        explicit[seed] = capsys.readouterr().out
+    assert len(set(explicit.values())) == 3
+
+    builds = cli._cached_parser.cache_info().misses
+    seen = []
+    for value in ("5", "6", "abc", None):
+        if value is None:
+            monkeypatch.delenv("CEPSKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CEPSKIT_SEED", value)
+        code = main(["gen", "--kind", "random"])
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert cli._cached_parser.cache_info().misses == builds == 1
+    assert seen[0] == (0, explicit["5"], "")
+    assert seen[1] == (0, explicit["6"], "")
+    code, out, err = seen[2]
+    assert code == 3 and out == ""
+    usage = _help_text(cli.build_parser().parse_args, ["gen"], capsys).split("\n\n")[0]
+    assert usage.startswith("usage: cepskit gen [-h] ")
+    assert err == f"error: argument --seed: invalid int value: 'abc'\n{usage}\n\n"
+    assert seen[3] == (0, explicit["0"], "")
+
+
+def test_failed_parse_leaves_the_next_call_alone(swap_file, capsys):
+    argv = ["gen", "--kind", "random", "--num-blocks", "2:2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    for bad in (["gen", "--kind", "random", "--seed", "x", "--num-blocks", "3:3"],
+                ["gen", "--kind", "random", "--seed"],
+                ["gen", "--kind", "nope"],
+                ["kac", "--system", swap_file, "--p"],
+                ["tower", "--system", swap_file, "--p", "0", "--n", "two"],
+                ["no-such-command"],
+                []):
+        assert main(bad) == 3
+    with pytest.raises(SystemExit):
+        main(["gen", "--seed", "9", "--help"])
+    assert main(["gen", "--kind", "random", "--seed", "9", "--num-blocks", "1:1"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_validate_takes_no_force(swap_file, capsys):
     code = main(["validate", "--system", swap_file, "--force"])
     captured = capsys.readouterr()

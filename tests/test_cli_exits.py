@@ -3,16 +3,17 @@
 Every verdict subcommand and ``validate`` is driven with arguments drawn
 around the edges of the ground set (indices out of range, negative or not
 integers, integers that int() reads but the CLI refuses, heights -1..13,
-bad rationals, --force on and off, an --out or --csv in a directory that
-does not exist, the removed approx --samples and --seed) on small files:
-valid, non-ergodic, axiom-violating and malformed. A fixed share of the
-approx argv is a valid --manual run on the 12-cycle. No exception may
-escape ``main``; exit 3 prints nothing on stdout and one ``error: `` line
-on stderr; every other exit prints exactly one JSON object. An unwritable
---out and a removed option are always exit 3, and so are an empty --eps
-and a refused index once the system has loaded (neither is ever read as
-something else). Exit 1 would be a theorem violation, which none of these
-files may produce.
+bad rationals and decimals that Fraction() reads but the CLI refuses,
+--force on and off, an --out or --csv in a directory that does not exist,
+the removed approx --samples and --seed) on small files: valid,
+non-ergodic, axiom-violating and malformed. A fixed share of the approx
+argv is a valid --manual run on the 12-cycle. No exception may escape
+``main``; exit 3 prints nothing on stdout and one ``error: `` line on
+stderr; every other exit prints exactly one JSON object. An unwritable
+--out and a removed option are always exit 3, and so are a refused --eps
+(empty, not a rational, or a decimal) and a refused index once the system
+has loaded (neither is ever read as something else). Exit 1 would be a
+theorem violation, which none of these files may produce.
 """
 
 import contextlib
@@ -64,7 +65,9 @@ index = st.one_of(st.integers(-2, 13).map(str),
                   st.sampled_from(["x", "1.5", "", " ", "True", *NOT_STRICT]))
 index_list = st.lists(index, min_size=1, max_size=4).map(",".join)
 height = st.integers(-1, 13).map(str)
-eps = st.sampled_from(["1/5", "1/2", "2", "0", "-1/3", "1/0", "abc", ""])
+# Fraction() reads the decimals as 1/5, 1/2 and 1/10; --eps must be -?[0-9]+(/[0-9]+)?.
+REFUSED_EPS = ["1/0", "abc", "", "0.2", "0.5", "1e-1"]
+eps = st.sampled_from(["1/5", "1/2", "2", "0", "-1/3", *REFUSED_EPS])
 UNWRITABLE = "<missing-dir>/x"  # replaced by a path under a missing directory
 
 
@@ -117,6 +120,8 @@ FILE_NAMES = ["cycle12", "malformed", "merged", "swap", "truncated4", "violating
 @example(argv=["approx", "--system", "cycle12", "--manual", "--p", "0", "--n", "2",
                "--eps", ""])
 @example(argv=["approx", "--system", "cycle12", "--eps", ""])
+@example(argv=["tower-eps", "--system", "cycle12", "--n", "2", "--eps", "0.2"])
+@example(argv=["approx", "--system", "cycle12", "--eps", "1e-1"])
 @example(argv=["kac", "--system", "cycle12", "--p", "1_0"])
 @example(argv=["tower", "--system", "cycle12", "--p", "0,+3", "--n", "2"])
 def test_every_exit_is_in_the_taxonomy(files, argv):
@@ -124,7 +129,7 @@ def test_every_exit_is_in_the_taxonomy(files, argv):
     argv[2] = files[argv[2]]
     unwritable_out = "--out" in argv
     removed_option = "--samples" in argv or "--seed" in argv
-    empty_eps = "--eps" in argv and argv[argv.index("--eps") + 1] == ""
+    refused_eps = "--eps" in argv and argv[argv.index("--eps") + 1] in REFUSED_EPS
     refused_index = any(piece in NOT_STRICT
                         for i, a in enumerate(argv) if a in ("--p", "--q", "--v")
                         for piece in argv[i + 1].split(","))
@@ -141,9 +146,9 @@ def test_every_exit_is_in_the_taxonomy(files, argv):
     assert err == ""
     report = json.loads(out)
     assert isinstance(report, dict)
-    # The load comes first: only a refused system keeps an empty --eps or a
+    # The load comes first: only a refused system keeps a refused --eps or a
     # refused index unread.
-    assert not empty_eps or report.get("kind") == "InvalidSystem", report
+    assert not refused_eps or report.get("kind") == "InvalidSystem", report
     assert not refused_index or report.get("kind") == "InvalidSystem", report
     # Exit 1 means a theorem violation, and every theorem holds on these files.
     assert code != 1, report

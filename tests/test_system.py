@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cepskit.errors import CepsError, DimensionError, InvalidSystem, MalformedInput, \
-    NotConditionallyErgodic
+from cepskit import system
+from cepskit.errors import CepsError, DimensionError, DomainError, InvalidSystem, \
+    MalformedInput, NotConditionallyErgodic
 from cepskit.generators import (
     direct_product,
     single_cycle,
@@ -14,7 +15,8 @@ from cepskit.generators import (
 )
 from cepskit.lattice import elem, ones
 from cepskit.oracles import block_average, brute_component_image, brute_koopman
-from cepskit.system import GroundSystem, from_raw, load, save, validate_ceps
+from cepskit.rationals import as_rational
+from cepskit.system import Check, GroundSystem, from_raw, load, save, validate_ceps
 
 F = Fraction
 
@@ -96,6 +98,54 @@ def test_indices_must_be_json_integers(field, value, witness):
     (check,) = validate_ceps(raw).checks
     assert (check.name, check.passed) == ("parseable", False)
     assert check.witness == witness and type(check.witness) is type(witness)
+
+
+# Strings that parse, strings that do not (decimals, a zero denominator, a
+# non-ASCII digit), and non-strings: ints, bools (True == 1 hashes alike),
+# floats and unhashable lists.
+_weight = st.one_of(
+    st.sampled_from(["1/2", "2/4", " 1/2 ", "1", "3", "-1/3", "0", "1/0", "0.5",
+                     "1e-1", "+3", "\u0663", "1_0", "\t1/2", "", "abc"]),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _weight_lists(draw):
+    """Weights drawn from a small pool, so most lists repeat some weight."""
+    pool = draw(st.lists(_weight, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=_weight_lists())
+def test_memoised_weights_match_per_weight_parse(weights):
+    """_parse_parts parses each distinct weight string once and shares it.
+
+    The reference parses every weight on its own with as_rational: the values
+    agree, and so does the parseable witness of the first bad weight.
+    """
+    candidate = {"size": max(len(weights), 1), "weights": weights,
+                 "blocks": [], "tau": []}
+    try:
+        expected = tuple(as_rational(w) for w in weights)
+    except DomainError as exc:
+        expected = Check("parseable", False, exc.args[0])
+    try:
+        parsed = system._parse_parts(candidate)[1]
+    except DomainError as exc:
+        assert Check("parseable", False, exc.args[0]) == expected
+        assert validate_ceps(candidate).checks == (expected,)
+        return
+    assert parsed == expected
+    assert all(type(w) is Fraction for w in parsed)
+    firsts = {}
+    for raw, value in zip(weights, parsed):
+        if isinstance(raw, str):
+            assert firsts.setdefault(raw, value) is value
 
 
 @pytest.mark.parametrize("bad", [{2}, {-1}, {0, 5}, {"0"}])

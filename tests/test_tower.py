@@ -231,6 +231,19 @@ def test_tower_eps_ls_on_non_ergodic():
     assert half.bound_certificate.holds
 
 
+def test_tower_eps_ls_extra_certificates_live_on_v():
+    # The L_S certificate covers Omega; the sub-tower's extra certificates
+    # cover only v (the 12- and 9-cycles), renumbered 0..20.
+    sys = with_single_block(direct_product([single_cycle(12), single_cycle(9),
+                                            single_cycle(3)]))
+    report = build_tower_eps_ls(sys, range(21), 2, F(1, 5)).as_dict()
+    cert = report["certificate"]
+    assert len(cert["lhs"]) == len(cert["rhs"]) == 24
+    assert report["extra_certificates"]
+    for extra in report["extra_certificates"]:
+        assert len(extra["lhs"]) == len(extra["rhs"]) == 21
+
+
 def test_tower_eps_ls_rejects_non_invariant_v():
     c12 = single_cycle(12)
     with pytest.raises(DomainError):
