@@ -6,12 +6,12 @@ approximating homomorphism is the operator sum
     S' = S P_q + S^{1-n} P_{S^{n-1}p} + P_{e-h},
 
 with h the whole tower and q the tower minus its top level. S' cycles
-the tower with period n and is the identity off it. Since S' is defined
-by how it acts on the tower levels, its point map tau' is read off the
-levels point by point: each coordinate indicator chi_m lies in exactly
-one of q, S^{n-1}p and e-h, and the matching term sends it to one
-coordinate indicator. The operator sum itself (``s_prime_operator``) is
-kept as the dense cross-check oracle. The construction is guarded by the
+the tower with period n and is the identity off it. Its point map tau'
+is read off the levels, built once by ``GroundSystem.iterates``, point
+by point: each coordinate indicator chi_m lies in exactly one of q,
+S^{n-1}p and e-h, and the matching term sends it to one coordinate
+indicator. The operator sum itself (``s_prime_operator``) is kept as
+the dense cross-check oracle. The construction is guarded by the
 partition-of-unity identity from the S'e = e computation and by
 TS' = T on every coordinate indicator. The conditional distance to S is
 certified per component u:
@@ -140,12 +140,12 @@ def build_s_prime(
         raise DomainError(f"period bound {n} exceeds |Omega| = {sys.size}")
     if not p:
         raise DomainError("tower base p must be nonzero")
-    levels = [sys.component_image(i, p) for i in range(n)]
-    if sum(len(l) for l in levels) != len(frozenset().union(*levels)):
+    levels = sys.iterates(p, n)
+    h = frozenset().union(*levels)
+    if sum(len(l) for l in levels) != len(h):
         raise DomainError(
             f"iterates S^0..S^{n-1} of {sorted(p)} are not pairwise disjoint"
         )
-    h = frozenset().union(*levels)
     q = frozenset().union(*levels[: n - 1])
 
     # The S'e = e computation, pointwise: the three indicator terms must
@@ -159,7 +159,7 @@ def build_s_prime(
                 f"(sum = {terms})"
             )
 
-    tau_prime = _extract_point_map(sys, p, n)
+    tau_prime = _extract_point_map(sys, levels)
 
     _check_ts_prime_equals_t(sys, tau_prime)
 
@@ -191,7 +191,7 @@ def build_s_prime(
     )
 
 
-def _extract_point_map(sys: GroundSystem, p: Component, n: int) -> tuple[int, ...]:
+def _extract_point_map(sys: GroundSystem, levels: tuple[Component, ...]) -> tuple[int, ...]:
     """Read tau' off the tower levels: S' chi_m is the indicator of tau'^{-1}(m).
 
     The three terms of S' send chi_m to S chi_m if m is in q, to
@@ -200,10 +200,9 @@ def _extract_point_map(sys: GroundSystem, p: Component, n: int) -> tuple[int, ..
     sum ``s_prime_operator`` applied to chi_m, computed on the one point it
     moves instead of on all N coordinates.
     """
-    levels = [sys.component_image(i, p) for i in range(n)]
+    n, top = len(levels), levels[-1]
     h = frozenset().union(*levels)
-    q = frozenset().union(*levels[: n - 1])
-    top = levels[n - 1]
+    q = frozenset().union(*levels[:-1])
     tau_prime = [-1] * sys.size
     for m in range(sys.size):
         hits = []
@@ -309,13 +308,12 @@ def surjectivity_preimage(
 
     hat f = P_{e-h} f + P_q S^{-1} f + P_{S^{n-1}p} S^{n-1} f.
     """
-    n = approx.period_bound
-    top = sys.component_image(n - 1, approx.base)
+    top = approx.tower - approx.tower_minus_top
     off_tower = sys.ground_set() - approx.tower
     return (
         band_project(off_tower, f)
         + band_project(approx.tower_minus_top, sys.koopman(-1, f))
-        + band_project(top, sys.koopman(n - 1, f))
+        + band_project(top, sys.koopman(approx.period_bound - 1, f))
     )
 
 

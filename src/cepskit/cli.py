@@ -485,6 +485,9 @@ def main(argv=None) -> int:
     except CepsError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory (the input is too large)", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def paper_examples_report() -> dict:
     displayed = {1: frozenset([0, 1]), 2: frozenset([1]), 3: frozenset()}
     expected_mass = {1: e, 2: e, 3: elem([0, 0])}
     for n, q in displayed.items():
-        levels = [swap.component_image(i, q) for i in range(n)]
+        levels = swap.iterates(q, n)
         disjoint = sum(len(l) for l in levels) == len(frozenset().union(*levels))
         mass = swap.expectation(swap.indicator(frozenset().union(*levels)))
         entries.append(_entry(f"swap: displayed q_{n} iterates disjoint", True, disjoint))
@@ -94,7 +94,7 @@ def paper_examples_report() -> dict:
     feasible = []
     for mask in range(4):
         q = frozenset(i for i in range(2) if mask >> i & 1)
-        levels = [swap.component_image(i, q) for i in range(3)]
+        levels = swap.iterates(q, 3)
         if sum(len(l) for l in levels) == len(frozenset().union(*levels)):
             feasible.append(q)
     entries.append(_entry("swap: only q=0 has 3 disjoint iterates", [frozenset()],

@@ -267,6 +267,13 @@ class GroundSystem:
         p = as_component(p)
         return frozenset(self.tau_power(-j, x) for x in p)
 
+    def iterates(self, p: Iterable[int], n: int) -> tuple[Component, ...]:
+        """(S^0 p, ..., S^{n-1} p) as sets, each level tau^{-1} of the one before."""
+        levels = [as_component(p)]
+        for _ in range(n - 1):
+            levels.append(frozenset(map(self.tau_inverse.__getitem__, levels[-1])))
+        return tuple(levels[:n])
+
     def cesaro_mean(self, f: LatticeElement) -> LatticeElement:
         """L_S f: the exact order limit of the Cesaro sums of S^k f.
 

@@ -21,7 +21,7 @@ truncation.
 All inequalities are certified with both sides stored verbatim as exact
 rationals. The base is read off cycle positions (S^j moves a point j
 places back along its tau-cycle), the levels come from
-``component_image``, and T of a component is taken block by block with
+``GroundSystem.iterates``, and T of a component is taken block by block with
 ``component_expectation``. Every side is T of something or a multiple of
 e, so it is constant on blocks: it is stored as ``BlockValues`` (per
 tau-cycle for the L_S bound, whose blocks are the orbits) and compared
@@ -137,7 +137,7 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
             base.update(cyc[(pos - n * j) % len(cyc)] for j in range(k // n))
     base = frozenset(base)
 
-    levels = tuple(sys.component_image(i, base) for i in range(n))
+    levels = sys.iterates(base, n)
     covered = frozenset().union(*levels)
     if sum(len(l) for l in levels) != len(covered):
         raise TheoremViolation(
@@ -247,7 +247,7 @@ def find_base_component(sys: GroundSystem, horizon: int) -> Component:
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
     c_n = frozenset(cyc[0] for cyc in sys.cycles)
 
-    images = [sys.component_image(i, c_n) for i in range(horizon + 1)]
+    images = sys.iterates(c_n, horizon + 1)
     if sum(len(im) for im in images) != len(frozenset().union(*images)):
         raise TheoremViolation(
             f"iterates of base component {sorted(c_n)} are not disjoint up to "
@@ -350,9 +350,7 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
     sub_tower = build_tower_eps(sub, n, eps)
 
     base = frozenset(embed[i] for i in sub_tower.base)
-    levels = tuple(
-        frozenset(embed[i] for i in level) for level in sub_tower.levels
-    )
+    levels = sys.iterates(base, n)
     covered = frozenset().union(*levels)
     # L_S(v - levels) and eps v, per tau-cycle: L_S averages over each cycle.
     left = [0] * len(sys.cycles)

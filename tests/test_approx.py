@@ -160,6 +160,22 @@ def test_build_s_prime_refuses_period_above_size_before_any_level(monkeypatch):
     assert build_s_prime(single_cycle(12), [0], 12).tau_prime == single_cycle(12).tau
 
 
+def test_build_s_prime_builds_the_levels_once_after_the_refusals(monkeypatch):
+    heights = []
+    real_iterates = GroundSystem.iterates
+
+    def counting_iterates(self, p, n):
+        heights.append(n)
+        return real_iterates(self, p, n)
+
+    monkeypatch.setattr(GroundSystem, "iterates", counting_iterates)
+    with pytest.raises(DomainError, match="exceeds"):
+        build_s_prime(single_cycle(12), [0], 13)
+    assert heights == []
+    build_s_prime(single_cycle(12), [0], 12)
+    assert heights == [12]
+
+
 def test_manual_explicit_eps_can_fail_without_raising():
     sys = single_cycle(7)
     approx = build_s_prime(sys, [0], 3, eps=F(1, 100))

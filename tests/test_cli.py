@@ -8,6 +8,11 @@ from sys import executable
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from cepskit import cli, suites, system
 from cepskit.cli import main
 from cepskit.errors import MalformedInput, TheoremViolation
@@ -721,6 +726,25 @@ def test_full_stdout_is_exit_3(swap_file):
     with open("/dev/full", "w") as full:
         code, err = _cli_with_stdout(full, "kac", "--system", swap_file, "--p", "0")
     assert (code, err) == (3, "error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "cycle", "--m", "1000000000000"],
+    ["gen", "--kind", "random", "--cycle-lengths", "1000000000000:1000000000000"],
+])
+def test_out_of_memory_is_exit_3(argv):
+    # The child's address space is capped at 1 GiB, so the multi-terabyte
+    # allocation fails at once instead of being attempted for real.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([executable, "-m", "cepskit.cli", *argv],
+                          capture_output=True, env=env, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: out of memory (the input is too large)\n"
 
 
 def test_refusal_reports_reach_a_writable_out(tmp_path, capsys, monkeypatch):

@@ -4,22 +4,24 @@ Each sparse or integer kernel on the production path is compared with the
 dense route it replaced: T and S' applied to every coordinate indicator,
 the exhaustive scan of the conditional distance over all 2^N components
 (itself checked against a Fraction scan), the lattice formula for q(p,k),
-the forward-image sweep for recurrence, the suffix-union formula for the
-tower base, and dense T of indicators for every certificate side. The
-sides are held one value per block (``BlockValues``): their dense
-``values``, their ``holds`` and the Kac flag must equal the dense
-formulas and comparisons they replaced. Systems are drawn from
-``random_system`` and from force-admitted candidates that break the CEPS
-axioms, all with at most 64 points (16 where the reference is exhaustive
-over components).
+the forward-image sweep for recurrence, stepwise images for the iterates
+S^i p, the pairwise scan for the disjointness witnesses, the suffix-union
+formula for the tower base, and dense T of indicators for every
+certificate side. The sides are held one value per block
+(``BlockValues``): their dense ``values``, their ``holds`` and the Kac
+flag must equal the dense formulas and comparisons they replaced.
+Systems are drawn from ``random_system`` and from force-admitted
+candidates that break the CEPS axioms, all with at most 64 points (16
+where the reference is exhaustive over components).
 """
 
 from fractions import Fraction
 from math import floor
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from cepskit import system
+from cepskit import recurrence, system
 from cepskit.approx import (
     _certify_distance,
     _check_ts_prime_equals_t,
@@ -29,7 +31,7 @@ from cepskit.approx import (
 )
 from cepskit.errors import (CepsError, DomainError, NotConditionallyErgodic,
                             TheoremViolation)
-from cepskit.generators import RandomSpec, random_system
+from cepskit.generators import RandomSpec, random_system, single_cycle
 from cepskit.lattice import BlockValues, LatticeElement, band_project, elem
 from cepskit.oracles import (
     block_average,
@@ -39,7 +41,9 @@ from cepskit.oracles import (
     scan_components,
 )
 from cepskit.recurrence import (
+    ReturnDecomposition,
     check_recurrent,
+    disjointness_witnesses,
     kac_certificate,
     max_cycle_length_meeting,
     q_component,
@@ -171,7 +175,7 @@ def tau_primes(draw, sys: GroundSystem) -> tuple[int, ...]:
                   for i in range(0, len(cyc) - n + 1, n)]
         p = frozenset(x for x in spaced if draw(st.booleans()))
         if p:
-            return _extract_point_map(sys, p, n)
+            return _extract_point_map(sys, sys.iterates(p, n))
     return tuple(draw(st.permutations(range(sys.size))))
 
 
@@ -277,6 +281,22 @@ def reference_parts(sys: GroundSystem, p) -> dict[int, frozenset]:
         if qk:
             parts[k] = qk
     return parts
+
+
+def pairwise_witnesses(sys: GroundSystem, parts) -> list[tuple[int, int, int, int]]:
+    """disjointness_witnesses by intersecting every pair of iterates S^i q(p,m)."""
+    iterates = {}
+    for m, qm in parts.items():
+        for i in range(m):
+            iterates[(i, m)] = sys.component_image(i, qm)
+    bad = []
+    keys = sorted(iterates)
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            (i, m), (j, n) = keys[a], keys[b]
+            if iterates[keys[a]] & iterates[keys[b]]:
+                bad.append((i, m, j, n))
+    return bad
 
 
 def dense_t(sys: GroundSystem, c) -> LatticeElement:
@@ -422,7 +442,7 @@ def test_block_values_are_their_dense_expansion(sys, data):
 def test_point_map_is_operator_sum_on_indicators(sys, data):
     p = frozenset(data.draw(subsets(sys.size)))
     n = data.draw(st.integers(1, sys.size + 1))
-    assert outcome(_extract_point_map, sys, p, n) \
+    assert outcome(_extract_point_map, sys, sys.iterates(p, n)) \
         == outcome(dense_point_map, sys, p, n)
 
 
@@ -514,6 +534,46 @@ def test_forward_image_union_is_stepwise_images(sys, data):
     steps = data.draw(st.integers(0, 2 * sys.size + 2))
     images = [brute_component_image(sys, -k, q) for k in range(1, steps + 1)]
     assert forward_image_union(sys, q, steps) == frozenset().union(*images)
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_iterates_are_stepwise_images(sys, data):
+    p = data.draw(components(sys))
+    n = data.draw(st.integers(0, max(len(c) for c in sys.cycles) + 2))
+    assert sys.iterates(p, n) \
+        == tuple(brute_component_image(sys, i, p) for i in range(n))
+
+
+@SETTINGS
+@given(systems, st.data())
+def test_disjointness_witnesses_are_pairwise_scan(sys, data):
+    """The owner map against the pairwise scan, on the real decomposition
+    (no violations: the iterates of the parts tile each cycle) and on
+    injected parts, which may overlap."""
+    p = data.draw(components(sys))
+    parts = return_decomposition(sys, p).parts
+    assert disjointness_witnesses(sys, p) == pairwise_witnesses(sys, parts) == []
+    longest = max(len(c) for c in sys.cycles)
+    injected = data.draw(st.dictionaries(
+        st.integers(1, longest + 1),
+        st.sets(st.integers(0, sys.size - 1), min_size=1).map(frozenset),
+        max_size=4))
+    fake = ReturnDecomposition(base=frozenset().union(*injected.values()), parts=injected)
+    with mock.patch.object(recurrence, "return_decomposition", lambda sys, p: fake):
+        assert disjointness_witnesses(sys, p) == pairwise_witnesses(sys, injected)
+
+
+def test_disjointness_witnesses_on_overlapping_parts():
+    # On a 4-cycle, S^0 q(p,1) = S^0 q(p,2) = {0, 1} and S^1 q(p,2) = {3, 0}
+    # all hold 0, and the first two share 1 as well: each pair once, in order.
+    sys = single_cycle(4)
+    parts = {1: frozenset({0, 1}), 2: frozenset({0, 1})}
+    fake = ReturnDecomposition(base=frozenset({0, 1}), parts=parts)
+    with mock.patch.object(recurrence, "return_decomposition", lambda sys, p: fake):
+        assert disjointness_witnesses(sys, {0, 1}) \
+            == [(0, 1, 0, 2), (0, 1, 1, 2), (0, 2, 1, 2)]
+    assert pairwise_witnesses(sys, parts) == [(0, 1, 0, 2), (0, 1, 1, 2), (0, 2, 1, 2)]
 
 
 @st.composite
