@@ -198,18 +198,21 @@ def _extract_point_map(sys: GroundSystem, levels: tuple[Component, ...]) -> tupl
     S^{1-n} chi_m if m is in the top level and to chi_m if m is off the
     tower; together they must hit exactly one point. This is the operator
     sum ``s_prime_operator`` applied to chi_m, computed on the one point it
-    moves instead of on all N coordinates.
+    moves instead of on all N coordinates: S^j chi_m is the indicator of
+    tau^{-j}(m), so S chi_m is read off ``tau_inverse`` and S^{1-n} chi_m
+    is ``tau_power(n - 1, m)``.
     """
     n, top = len(levels), levels[-1]
     h = frozenset().union(*levels)
     q = frozenset().union(*levels[:-1])
+    inverse = sys.tau_inverse
     tau_prime = [-1] * sys.size
     for m in range(sys.size):
         hits = []
         if m in q:
-            hits.extend(sys.component_image(1, {m}))
+            hits.append(inverse[m])
         if m in top:
-            hits.extend(sys.component_image(1 - n, {m}))
+            hits.append(sys.tau_power(n - 1, m))
         if m not in h:
             hits.append(m)
         if len(hits) != 1:

@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import os
 import sys as _sys
 import time
@@ -55,6 +54,7 @@ from .generators import (
     swap_example,
     truncated_counterexample,
 )
+from .jsontext import dumps_indented
 from .lattice import ZERO
 from .rationals import format_rational, parse_integer, parse_rational
 from .recurrence import first_return_time, kac_certificate, return_decomposition, \
@@ -129,7 +129,7 @@ def _writing(path: str):
 
 def _emit(report: dict, out: str | None) -> None:
     """Write the report to --out, if given, then print it."""
-    text = json.dumps(report, indent=2)
+    text = dumps_indented(report)
     if out:
         with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -97,9 +97,6 @@ class LatticeElement:
     def pos_part(self) -> "LatticeElement":
         return LatticeElement(tuple(max(a, ZERO) for a in self.values))
 
-    def neg_part(self) -> "LatticeElement":
-        return LatticeElement(tuple(max(-a, ZERO) for a in self.values))
-
     def __abs__(self) -> "LatticeElement":
         return LatticeElement(tuple(abs(a) for a in self.values))
 
@@ -173,7 +170,7 @@ class BlockValues(LatticeElement):
     def formatted(self) -> list[str]:
         """Each block value formatted once, then spread over its points."""
         text = [format_rational(a) for a in self.per_block]
-        return [text[b] for b in self.owner]
+        return list(map(text.__getitem__, self.owner))
 
 
 def elem(values: Iterable[RationalLike]) -> LatticeElement:

@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
+from .jsontext import dumps_indented
 from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
                       indicator, ones)
 from .rationals import as_rational, format_rational
@@ -78,6 +79,17 @@ def _jsonable(witness):
     if isinstance(witness, tuple):
         return [_jsonable(w) for w in witness]
     return witness
+
+
+def _distinct(values: Sequence) -> tuple[list[int], dict[int, object]]:
+    """The ids of values by index, and each distinct object once by its id.
+
+    Loaded weights share one Fraction per distinct string and generated ones
+    one per cycle, so work done per entry of the dict is done once per
+    distinct weight; ``map(results.__getitem__, ids)`` spreads it back.
+    """
+    ids = list(map(id, values))
+    return ids, dict(zip(ids, values))
 
 
 def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -159,9 +171,11 @@ class GroundSystem:
         Both are integers, so block sums of weights need no Fraction
         arithmetic; a ratio of two of them is the ratio of the rationals.
         """
-        scale = lcm(*(w.denominator for w in self.weights))
-        weight = tuple(w.numerator * (scale // w.denominator) for w in self.weights)
-        mass = tuple(sum(weight[i] for i in block) for block in self.blocks)
+        ids, distinct = _distinct(self.weights)
+        scale = lcm(*(w.denominator for w in distinct.values()))
+        scaled = {k: w.numerator * (scale // w.denominator) for k, w in distinct.items()}
+        weight = tuple(map(scaled.__getitem__, ids))
+        mass = tuple(sum(map(weight.__getitem__, block)) for block in self.blocks)
         return weight, mass
 
     @cached_property
@@ -381,15 +395,17 @@ class GroundSystem:
     # -- serialization --
 
     def as_dict(self) -> dict:
+        ids, distinct = _distinct(self.weights)
+        text = {k: format_rational(w) for k, w in distinct.items()}
         return {
             "size": self.size,
-            "weights": [format_rational(w) for w in self.weights],
+            "weights": list(map(text.__getitem__, ids)),
             "blocks": [sorted(b) for b in self.blocks],
             "tau": list(self.tau),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        return dumps_indented(self.as_dict())
 
     def digest(self) -> str:
         canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
@@ -416,19 +432,21 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
     if not ok_size:
         return ValidationReport(tuple(checks))
 
+    # Each weight check runs once per distinct object. The first bad object
+    # in first-occurrence order holds the first bad index.
+    ids, distinct = _distinct(weights)
     ok_w = (
         len(weights) == size
-        and all(isinstance(w, Fraction) for w in weights)
+        and all(isinstance(w, Fraction) for w in distinct.values())
     )
     checks.append(
         Check("weights-wellformed", ok_w,
               None if ok_w else f"expected {size} rationals, got {len(weights)}")
     )
     # A Fraction's sign is its numerator's; int comparisons are much cheaper.
-    ok_pos = ok_w and all(w.numerator > 0 for w in weights)
-    witness = None
-    if ok_w and not ok_pos:
-        witness = next(i for i, w in enumerate(weights) if w.numerator <= 0)
+    bad = [k for k, w in distinct.items() if w.numerator <= 0] if ok_w else []
+    ok_pos = ok_w and not bad
+    witness = ids.index(bad[0]) if bad else None
     checks.append(Check("weights-strictly-positive", ok_pos, witness))
 
     covered: set[int] = set()
@@ -464,10 +482,9 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
             break
     checks.append(Check("blocks-tau-invariant", witness is None, witness))
 
-    # As tuples first: generated systems share one weight object per cycle,
-    # which tuple comparison matches by identity.
+    # As tuples first: shared weight objects match by identity, in C.
     witness = None
-    if tuple(weights[t] for t in tau) != tuple(weights):
+    if tuple(map(weights.__getitem__, tau)) != tuple(weights):
         witness = next(i for i in range(size) if weights[tau[i]] != weights[i])
     checks.append(Check("weights-tau-invariant", witness is None, witness))
 
@@ -482,12 +499,20 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     built from the parsed pieces with the axioms off; only pieces too
     malformed to build one go through ``validate_parts`` again, to itemize
     every check. A built system is also checked extensionally in O(N),
-    without the dense operators: Te = e as T chi_Omega = 1 on every block,
-    Se = e as tau^{-1}(Omega) = Omega, and TS chi_m = T chi_m for every m,
-    comparing block and scaled weight of tau^{-1}(m) and m as integers. The
-    structural and extensional verdicts for TS = T must agree; a mismatch
-    is its own failed check. The report carries the system the checks ran
-    on, so a loader need not build it again.
+    without the dense operators:
+
+    * Te = e as T chi_Omega = 1 on every block: the scaled weight of every
+      point is added to the total of the block ``block_of`` gives it, and
+      each total must equal the block's scaled mass. Omega is the ground
+      set the library built, so its members are not checked again as a
+      caller's component would be.
+    * Se = e as tau^{-1}(Omega) = Omega, read off the ``tau_inverse`` table.
+    * TS chi_m = T chi_m for every m, comparing block and scaled weight of
+      tau^{-1}(m) and m as integers, index by index.
+
+    The structural and extensional verdicts for TS = T must agree; a
+    mismatch is its own failed check. The report carries the system the
+    checks ran on, so a loader need not build it again.
     """
     try:
         size, weights, blocks, tau = _parse_parts(candidate)
@@ -500,14 +525,18 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
         return ValidationReport(validate_parts(size, weights, blocks, tau).checks)
 
     checks = list(sys.structure.checks)
-    omega = sys.ground_set()
-    checks.append(Check("Te-equals-e", sys.component_expectation(omega)
-                        == dict.fromkeys(range(len(sys.blocks)), 1)))
-    checks.append(Check("Se-equals-e", sys.component_image(1, omega) == omega))
+    (weight, mass), block_of = sys.scaled_weights, sys.block_of
+    totals = [0] * len(mass)
+    for x in range(sys.size):
+        totals[block_of[x]] += weight[x]
+    checks.append(Check("Te-equals-e", totals == list(mass)))
+    checks.append(Check("Se-equals-e", frozenset(sys.tau_inverse) == sys.ground_set()))
 
-    weight, block_of = sys.scaled_weights[0], sys.block_of
-    witness = next((m for m, x in enumerate(sys.tau_inverse)
-                    if block_of[x] != block_of[m] or weight[x] != weight[m]), None)
+    inverse, witness = sys.tau_inverse, None
+    if (tuple(map(block_of.__getitem__, inverse)) != block_of
+            or tuple(map(weight.__getitem__, inverse)) != weight):
+        witness = next(m for m, x in enumerate(inverse)
+                       if block_of[x] != block_of[m] or weight[x] != weight[m])
     checks.append(Check("TS-equals-T-extensional", witness is None, witness))
 
     # The pieces are well formed, so only the two invariance checks can fail.
@@ -528,6 +557,21 @@ def _array(value) -> list:
     if isinstance(value, list):
         return value
     raise ValueError(value)
+
+
+_INT = frozenset([int])
+
+
+def _indices(value) -> list[int]:
+    """A block or tau: a JSON array of integers, checked with one type test.
+
+    Only an array that fails it goes through ``_index`` entry by entry, to
+    raise on the same first offending value.
+    """
+    value = _array(value)
+    if set(map(type, value)) <= _INT:
+        return value
+    return [_index(i) for i in value]
 
 
 def _parse_weights(raw) -> tuple[Fraction, ...]:
@@ -555,9 +599,8 @@ def _parse_parts(candidate: Mapping):
     if not isinstance(size, int) or isinstance(size, bool):
         raise DomainError(f"size must be an integer, got {size!r}")
     weights = _parse_weights(candidate["weights"])
-    blocks = tuple(frozenset(_index(i) for i in _array(block))
-                   for block in _array(candidate["blocks"]))
-    tau = tuple(_index(i) for i in _array(candidate["tau"]))
+    blocks = tuple(frozenset(_indices(block)) for block in _array(candidate["blocks"]))
+    tau = tuple(_indices(candidate["tau"]))
     return size, weights, blocks, tau
 
 

@@ -448,11 +448,10 @@ def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(GroundSystem, name, counting_while_validating(
             name, getattr(GroundSystem, name)))
     monkeypatch.setattr(GroundSystem, "__post_init__", counting_post_init)
-    # One validate_parts per load, --force included; no dense T or S while
-    # validating: Te = e is one sparse T of Omega, Se = e and TS = T compare
-    # points.
-    once = {"open": 1, "validate_ceps": 1, "validate_parts": 1, "construct": 1,
-            "component_expectation while validating": 1}
+    # One validate_parts per load, --force included; no T or S operator while
+    # validating: Te = e sums scaled weights per block, Se = e reads the
+    # tau_inverse table, and TS = T compares points.
+    once = {"open": 1, "validate_ceps": 1, "validate_parts": 1, "construct": 1}
     code, report = run(capsys, "kac", "--system", str(path), "--p", "0")
     assert code == 0 and report["equal"] is True
     assert counts == once
