@@ -116,7 +116,7 @@ def _tower_trial(trial_seed: int, rng: random.Random) -> list[str]:
         f"tower invariant {name} fails (p={sorted(p)}, n={n})"
         for name in t.verify_against(sys)
     )
-    lhs, rhs, ok = tower.proof_chain_identity(sys, p, n)
+    lhs, rhs, ok = tower.proof_chain_identity(sys, p, t)
     if not ok:
         problems.append(
             f"proof-chain identity fails (p={sorted(p)}, n={n}): {lhs!r} != {rhs!r}"

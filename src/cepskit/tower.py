@@ -37,7 +37,7 @@ from math import floor
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotAperiodicAtHorizon, TheoremViolation
-from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement, as_component
+from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
 from .system import GroundSystem
@@ -169,11 +169,13 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
 
 
 def proof_chain_identity(
-    sys: GroundSystem, p: Iterable[int], n: int
+    sys: GroundSystem, p: Iterable[int], tower: Tower
 ) -> tuple[LatticeElement, LatticeElement, bool]:
-    """T(join_{k<n} S^k q) against sum_i n*floor(i/n)*T q(p,i), exactly."""
-    p = as_component(p)
-    tower = build_tower(sys, p, n)
+    """T(join_{k<n} S^k q) against sum_i n*floor(i/n)*T q(p,i), exactly.
+
+    ``tower`` is the caller's ``build_tower(sys, p, n)``; n is its height.
+    """
+    n = tower.height
     lhs = sys.block_element(sys.component_expectation(tower.covered()))
     per_block: dict[int, Fraction] = {}
     for i, qi in return_decomposition(sys, p).parts.items():

@@ -146,17 +146,18 @@ def test_build_s_prime_rejections():
 
 
 def test_build_s_prime_refuses_period_above_size_before_any_level(monkeypatch):
-    images = []
-    real_image = GroundSystem.component_image
+    # The levels come from GroundSystem.iterates: none may be built first.
+    levels_built = []
+    real_iterates = GroundSystem.iterates
 
-    def counting_image(self, j, p):
-        images.append(j)
-        return real_image(self, j, p)
+    def counting_iterates(self, p, n):
+        levels_built.append(n)
+        return real_iterates(self, p, n)
 
-    monkeypatch.setattr(GroundSystem, "component_image", counting_image)
+    monkeypatch.setattr(GroundSystem, "iterates", counting_iterates)
     with pytest.raises(DomainError, match="exceeds"):
         build_s_prime(single_cycle(12), [0], 13)
-    assert images == []
+    assert levels_built == []
     assert build_s_prime(single_cycle(12), [0], 12).tau_prime == single_cycle(12).tau
 
 

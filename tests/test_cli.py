@@ -1,4 +1,5 @@
 import builtins
+import gc
 import json
 import os
 import subprocess
@@ -849,3 +850,23 @@ def test_tower_csv_level_masses_are_dense_t(tmp_path, capsys):
         members = " ".join(map(str, level))
         assert rows[i + 1] == f"{i},{members},{expected}"
     assert rows[1].endswith(" 0")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["kac", "--p", "0,5"], ["tower-eps", "--n", "2", "--eps", "1/5"],
+    ["approx", "--eps", "1/2"],
+], ids=lambda command: command[0])
+def test_verdict_leaves_no_cyclic_garbage(tmp_path, capsys, command):
+    """A verdict's objects, its report included, are freed by reference counting."""
+    path = tmp_path / "c70.json"  # approx --eps 1/2 needs a cycle of 66 or more
+    save(single_cycle(70), path)
+    argv = [*command, "--system", str(path)]
+    assert main(argv) == 0  # the first call builds the process's one parser
+    gc.disable()  # so that no automatic collection runs inside main
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

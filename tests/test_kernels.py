@@ -640,8 +640,10 @@ def test_proof_chain_sides_are_dense_t(sys, data):
         lhs = dense_t(sys, covered)
         return lhs, rhs, lhs == rhs
 
-    assert result_or_error(proof_chain_identity, sys, p, n) \
-        == result_or_error(reference, sys, p, n)
+    def chain(sys, p, n):
+        return proof_chain_identity(sys, p, build_tower(sys, p, n))
+
+    assert result_or_error(chain, sys, p, n) == result_or_error(reference, sys, p, n)
 
 
 @SETTINGS

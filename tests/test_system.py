@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from cepskit.generators import (
 )
 from cepskit.lattice import elem, ones
 from cepskit.oracles import block_average, brute_component_image, brute_koopman
-from cepskit.rationals import as_rational
+from cepskit.rationals import as_rational, format_rational
 from cepskit.system import Check, GroundSystem, from_raw, load, save, validate_ceps
 
 F = Fraction
@@ -146,6 +148,82 @@ def test_memoised_weights_match_per_weight_parse(weights):
     for raw, value in zip(weights, parsed):
         if isinstance(raw, str):
             assert firsts.setdefault(raw, value) is value
+
+
+_entry = st.one_of(st.integers(-2, 5), st.booleans(), st.floats(allow_nan=False),
+                  st.text(max_size=2), st.none(), st.lists(st.integers(0, 2), max_size=2))
+_NO_OFFENDER = object()
+
+
+def _first_offender(blocks, tau):
+    """The parseable witness of the per-entry rule: the first non-array block
+    or tau, else the first entry that is not an int (bools are not)."""
+    for array in (*blocks, tau):
+        if not isinstance(array, list):
+            return array
+        for i in array:
+            if not isinstance(i, int) or isinstance(i, bool):
+                return i
+    return _NO_OFFENDER
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=st.lists(st.one_of(st.lists(_entry, max_size=5), _entry), max_size=3),
+       tau=st.one_of(st.lists(_entry, max_size=5), st.lists(st.integers(0, 3), max_size=5)))
+def test_index_arrays_match_per_entry_parse(blocks, tau):
+    """Blocks and tau take one type test per array; the fallback keeps the
+    per-entry witness: the same first offending object, and no false refusal."""
+    candidate = {"size": 4, "weights": ["1"] * 4, "blocks": blocks, "tau": tau}
+    offender = _first_offender(blocks, tau)
+    report = validate_ceps(candidate)
+    if offender is _NO_OFFENDER:
+        assert report.checks[0].name == "size-positive"
+        assert system._parse_parts(candidate)[2:] \
+            == (tuple(frozenset(b) for b in blocks), tuple(tau))
+    else:
+        [check] = report.checks
+        assert (check.name, check.passed) == ("parseable", False)
+        assert check.witness is offender
+
+
+_shared_pool = [F(1, 2), F(3), F(2, 6), F(5, 7), F(0), F(-1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from(_shared_pool), min_size=1, max_size=12),
+       data=st.data())
+def test_weight_work_is_the_same_for_shared_and_copied_weights(values, data):
+    """validate_parts, scaled_weights and digest work once per distinct weight
+    object; shared weights, distinct copies and a mix of both give the same
+    results, equal to per-point references, nonpositive witness included."""
+    size = len(values)
+    shared = tuple(values)  # sampled_from repeats its own objects
+    copies = tuple(Fraction(w) for w in values)
+    mixed = tuple(w if i % 2 else c for i, (w, c) in enumerate(zip(shared, copies)))
+    assert len(set(map(id, copies))) == size
+    tau = tuple(data.draw(st.permutations(range(size))))
+    cut = data.draw(st.integers(1, size))
+    blocks = (frozenset(range(cut)), frozenset(range(cut, size)))[:1 + (cut < size)]
+
+    report = system.validate_parts(size, shared, blocks, tau)
+    for weights in (copies, mixed):
+        assert system.validate_parts(size, weights, blocks, tau) == report
+    first_bad = next((i for i, w in enumerate(values) if w <= 0), None)
+    assert report.checks[2] == Check("weights-strictly-positive", first_bad is None,
+                                     first_bad)
+    if first_bad is not None:
+        return
+    scale = lcm(*(w.denominator for w in values))
+    weight = tuple(w.numerator * scale // w.denominator for w in values)
+    mass = tuple(sum(weight[i] for i in b) for b in blocks)
+    canonical = json.dumps({"size": size, "weights": [format_rational(w) for w in values],
+                            "blocks": [sorted(b) for b in blocks], "tau": list(tau)},
+                           sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    for weights in (shared, copies, mixed):
+        sys = GroundSystem(size, weights, blocks, tau, check_axioms=False)
+        assert sys.scaled_weights == (weight, mass)
+        assert sys.digest() == digest
 
 
 @pytest.mark.parametrize("bad", [{2}, {-1}, {0, 5}, {"0"}])

@@ -97,13 +97,14 @@ def test_tower_invariants_randomized():
 
 def test_proof_chain_identity():
     c7 = single_cycle(7)
-    lhs, rhs, ok = proof_chain_identity(c7, [0], 3)
+    lhs, rhs, ok = proof_chain_identity(c7, [0], build_tower(c7, [0], 3))
     assert ok and lhs == F(6, 7) * c7.unit
     rng = random.Random(37)
     for seed in range(30):
         sys = random_system(RandomSpec(seed=seed))
         p = random_component(rng, sys.size, nonempty=True)
-        assert proof_chain_identity(sys, p, rng.randint(1, 6))[2]
+        t = build_tower(sys, p, rng.randint(1, 6))
+        assert proof_chain_identity(sys, p, t)[2]
 
 
 # -- aperiodicity surrogate --
