@@ -15,6 +15,9 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _string
 
 _INFINITY = float("inf")
+# Lists of one of these exact types are joined in one step. The test is
+# type(v) is int, not isinstance: a bool is written true or false.
+_JOINED = {str: _string, int: int.__repr__}
 
 
 def dumps_indented(obj) -> str:
@@ -71,9 +74,8 @@ def _write(value, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         kinds = set(map(type, value))
-        # type(v) is int, not isinstance: a bool is written true or false.
-        if kinds == {str} or kinds == {int}:
-            write = _string if kinds == {str} else int.__repr__
+        write = _JOINED.get(kinds.pop()) if len(kinds) == 1 else None
+        if write:
             out += ("[", inner, ("," + inner).join(map(write, value)), newline, "]")
             return
         separator = "[" + inner
