@@ -18,9 +18,8 @@ approx) load --system once and share one envelope, {"scenario", "inputs":
 {"system_digest", ...}, ..., "timing_seconds"}; timing_seconds leaves out the
 load. validate, gen, suite and demo-paper-examples build their own reports.
 
-Environment variables: CEPSKIT_SEED overrides the default --seed of gen and
-suite (an integer; anything else is exit 3), CEPSKIT_PARALLEL sets the suite
-parallelism width (an integer, at most the CPU count; anything else is exit 3).
+Environment variable: CEPSKIT_SEED overrides the default --seed of gen and
+suite (an integer; anything else is exit 3).
 """
 
 from __future__ import annotations

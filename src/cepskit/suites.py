@@ -5,27 +5,21 @@ one named bundle of exact checks per trial, and aggregates failures with
 full reproduction parameters. A failing check always carries a standalone
 command line that reruns exactly that trial.
 
-Trials are independent and may run in parallel (width from the
-CEPSKIT_PARALLEL environment variable, an integer capped at the CPU
-count); the report is assembled in trial order either way, so it is a
+Trials run one after another in trial order, so the report is a
 deterministic function of (suite name, trials, seed).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import approx as approx_mod
 from . import recurrence, tower
-from .errors import MalformedInput
 from .generators import RandomSpec, random_component, random_system, single_cycle
 from .lattice import LatticeElement
 from .oracles import first_return_sets
-from .rationals import parse_integer
 from .system import GroundSystem, validate_ceps
 
 def _trial_system(
@@ -190,22 +184,6 @@ _TRIALS = {
 SUITE_NAMES = tuple(_TRIALS)
 
 
-def _parallel_width() -> int:
-    """CEPSKIT_PARALLEL, clamped to 1..os.cpu_count(); not an integer is refused."""
-    raw = os.environ.get("CEPSKIT_PARALLEL", "1")
-    try:
-        width = parse_integer(raw)
-    except ValueError:
-        raise MalformedInput(
-            f"CEPSKIT_PARALLEL must be an integer, got {raw!r}") from None
-    return max(1, min(width, os.cpu_count() or 1))
-
-
-def _run_indexed(args: tuple[str, int, int]) -> tuple[int, list[str]]:
-    suite, master_seed, index = args
-    return index, run_trial(suite, master_seed, index)
-
-
 def run_suite(name: str, trials: int, seed: int, first_trial: int = 0) -> dict:
     """Run a named suite (or "all"); returns the scenario report."""
     if trials < 1:
@@ -215,16 +193,9 @@ def run_suite(name: str, trials: int, seed: int, first_trial: int = 0) -> dict:
     started = time.perf_counter()
     failures = []
     passed = 0
-    width = _parallel_width()
-    indices = range(first_trial, first_trial + trials)
     for suite in names:
-        jobs = [(suite, seed, index) for index in indices]
-        if width > 1 and trials > 1:
-            with ProcessPoolExecutor(max_workers=width) as pool:
-                results = sorted(pool.map(_run_indexed, jobs, chunksize=16))
-        else:
-            results = [_run_indexed(job) for job in jobs]
-        for index, problems in results:
+        for index in range(first_trial, first_trial + trials):
+            problems = run_trial(suite, seed, index)
             if problems:
                 failures.append(
                     {
@@ -244,7 +215,6 @@ def run_suite(name: str, trials: int, seed: int, first_trial: int = 0) -> dict:
             "trials": trials,
             "seed": seed,
             "first_trial": first_trial,
-            "parallel_width": width,
         },
         "outcome": "pass" if not failures else "fail",
         "passed": passed,

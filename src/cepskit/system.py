@@ -119,8 +119,9 @@ class GroundSystem:
     even definable otherwise. The dynamical CEPS axioms (block and weight
     invariance under tau) are enforced too unless ``check_axioms=False``,
     the escape hatch the loader uses for counterexample demos. Either way
-    ``structure`` keeps the full ``validate_parts`` report, and derived
-    facts (cycles, the ergodicity defect) are computed once and cached.
+    ``structure`` keeps the full ``validate_parts`` report (a refusal's
+    InvalidSystem carries it too), and derived facts (cycles, the
+    ergodicity defect) are computed once and cached.
     """
 
     size: int
@@ -137,9 +138,8 @@ class GroundSystem:
         object.__setattr__(self, "tau", tuple(self.tau))
         report = validate_parts(self.size, self.weights, self.blocks, self.tau)
         names = _STRUCTURAL if check_axioms else _WELLFORMED
-        bad = [c for c in report.checks if c.name in names and not c.passed]
-        if bad:
-            raise InvalidSystem(ValidationReport(tuple(bad)))
+        if any(c.name in names and not c.passed for c in report.checks):
+            raise InvalidSystem(report)
         object.__setattr__(self, "structure", report)
 
     # -- derived structure (computed once, cached on the instance) --
@@ -367,31 +367,6 @@ class GroundSystem:
     def indicator(self, members: Iterable[int]) -> LatticeElement:
         return indicator(self.size, members)
 
-    def restricted_to(self, v: Iterable[int]) -> tuple["GroundSystem", tuple[int, ...]]:
-        """The subsystem on a tau-invariant set v, plus the index embedding.
-
-        Returns (sub, embed) where sub lives on {0,...,|v|-1} and embed maps
-        sub indices back to this system's indices. Blocks of the subsystem
-        are the intersections of this system's blocks with v.
-        """
-        v = as_component(v)
-        if self.component_image(1, v) != v:
-            raise DomainError(f"{sorted(v)} is not tau-invariant")
-        embed = tuple(sorted(v))
-        local = {x: k for k, x in enumerate(embed)}
-        blocks = tuple(
-            frozenset(local[i] for i in block & v)
-            for block in self.blocks
-            if block & v
-        )
-        sub = GroundSystem(
-            size=len(embed),
-            weights=tuple(self.weights[x] for x in embed),
-            blocks=blocks,
-            tau=tuple(local[self.tau[x]] for x in embed),
-        )
-        return sub, embed
-
     # -- serialization --
 
     def as_dict(self) -> dict:
@@ -496,10 +471,10 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
 
     The structural checks (permutation, partition, positivity, block and
     weight invariance under tau) are the ``structure`` report of the system
-    built from the parsed pieces with the axioms off; only pieces too
-    malformed to build one go through ``validate_parts`` again, to itemize
-    every check. A built system is also checked extensionally in O(N),
-    without the dense operators:
+    built from the parsed pieces with the axioms off; pieces too malformed
+    to build one are itemized by the full report the refusal carries. A
+    built system is also checked extensionally in O(N), without the dense
+    operators:
 
     * Te = e as T chi_Omega = 1 on every block: the scaled weight of every
       point is added to the total of the block ``block_of`` gives it, and
@@ -521,8 +496,8 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
         return ValidationReport((Check("parseable", False, exc.args[0]),))
     try:
         sys = GroundSystem(size, weights, blocks, tau, check_axioms=False)
-    except InvalidSystem:
-        return ValidationReport(validate_parts(size, weights, blocks, tau).checks)
+    except InvalidSystem as exc:
+        return exc.report
 
     checks = list(sys.structure.checks)
     (weight, mass), block_of = sys.scaled_weights, sys.block_of

@@ -36,11 +36,11 @@ from itertools import combinations
 from math import floor
 from typing import Iterable, Iterator
 
-from .errors import DomainError, NotAperiodicAtHorizon, TheoremViolation
+from .errors import DomainError, InvalidSystem, NotAperiodicAtHorizon, TheoremViolation
 from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
-from .system import GroundSystem
+from .system import GroundSystem, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,23 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         if len(cyc) <= horizon:
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
 
-    sub, embed = sys.orbit_refinement().restricted_to(v)
+    # The orbit refinement is a system only if the weights are tau-invariant,
+    # which a force-admitted system may break: refused with that one check.
+    invariant = next(c for c in sys.structure.checks
+                     if c.name == "weights-tau-invariant")
+    if not invariant.passed:
+        raise InvalidSystem(ValidationReport((invariant,)))
+    # The orbit refinement restricted to v: the points of v renumbered in
+    # sorted order, its blocks the cycles in v in order of minimum index.
+    embed = sorted(v)
+    local = {x: k for k, x in enumerate(embed)}
+    sub = GroundSystem(
+        size=len(embed),
+        weights=tuple(sys.weights[x] for x in embed),
+        blocks=tuple(frozenset(local[x] for x in sys.cycles[c])
+                     for c in sorted(cycles_in_v)),
+        tau=tuple(local[sys.tau[x]] for x in embed),
+    )
     sub_tower = build_tower_eps(sub, n, eps)
 
     base = frozenset(embed[i] for i in sub_tower.base)

@@ -14,9 +14,9 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from cepskit import cli, suites, system
+from cepskit import cli, system
 from cepskit.cli import main
-from cepskit.errors import MalformedInput, TheoremViolation
+from cepskit.errors import TheoremViolation
 from cepskit.generators import single_cycle, swap_example, with_single_block, \
     direct_product
 from cepskit.rationals import format_rational
@@ -206,19 +206,39 @@ def test_suite_command_and_repro(capsys):
     assert code == 0 and report["total"] == 5
 
 
-def test_suite_parallel_width(capsys, monkeypatch):
-    monkeypatch.setenv("CEPSKIT_PARALLEL", "2")
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)  # the cap is not hit
-    code, report = run(capsys, "suite", "poincare", "--trials", "8",
-                       "--seed", "3")
-    assert code == 0
-    assert report["inputs"]["parallel_width"] == 2
-    monkeypatch.delenv("CEPSKIT_PARALLEL")
-    code, serial = run(capsys, "suite", "poincare", "--trials", "8",
-                       "--seed", "3")
-    report["timing_seconds"] = serial["timing_seconds"] = 0
-    report["inputs"]["parallel_width"] = serial["inputs"]["parallel_width"]
-    assert report == serial  # deterministic report modulo timing
+def test_suite_report_is_deterministic(capsys, monkeypatch):
+    # Trials run serially; CEPSKIT_PARALLEL, once a pool width, is not read.
+    reports = []
+    for raw in (None, "2", "abc"):
+        if raw is None:
+            monkeypatch.delenv("CEPSKIT_PARALLEL", raising=False)
+        else:
+            monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
+        code, report = run(capsys, "suite", "poincare", "--trials", "8",
+                           "--seed", "3")
+        assert code == 0
+        report["timing_seconds"] = 0
+        reports.append(report)
+    assert reports[0]["inputs"] == {"trials": 8, "seed": 3, "first_trial": 0}
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_cli_does_not_import_a_process_pool(tmp_path):
+    # A verdict runs in one process; nothing the CLI imports loads a pool.
+    path = tmp_path / "c12.json"
+    save(single_cycle(12), path)
+    script = (
+        "import sys\n"
+        "import cepskit.cli\n"
+        "code = cepskit.cli.main(['kac', '--system', sys.argv[1], '--p', '0'])\n"
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing')\n"
+        "             if m in sys.modules], file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([executable, "-c", script, str(path)], capture_output=True,
+                          env=env, text=True, timeout=60)
+    assert json.loads(done.stdout)["equal"] is True
+    assert done.stderr == "0 []\n"
 
 
 def test_suite_failure_carries_repro_line(capsys, monkeypatch):
@@ -339,29 +359,6 @@ def test_height_equal_to_size_is_accepted(tmp_path, capsys):
     code, report = run(capsys, "approx", "--system", str(path), "--manual",
                        "--p", "0", "--n", "12")
     assert code == 0 and report["tau_prime"] == list(single_cycle(12).tau)
-
-
-@pytest.mark.parametrize("raw, cpus, width", [
-    ("64", 2, 2), ("64", None, 1), ("3", 8, 3), ("0", 8, 1), ("x", 8, None),
-])
-def test_parallel_width_is_capped_at_cpu_count(monkeypatch, raw, cpus, width):
-    monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
-    if width is None:  # not an integer: refused
-        with pytest.raises(MalformedInput, match="CEPSKIT_PARALLEL"):
-            suites._parallel_width()
-    else:
-        assert suites._parallel_width() == width
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
-def test_non_integer_parallel_width_is_exit_3(capsys, monkeypatch, raw):
-    monkeypatch.setenv("CEPSKIT_PARALLEL", raw)
-    code = main(["suite", "kac", "--trials", "1"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: CEPSKIT_PARALLEL must be an integer")
-    assert len(captured.err.splitlines()) == 1
 
 
 def test_huge_declared_size_gets_a_small_report(tmp_path, capsys):
@@ -521,8 +518,7 @@ def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
     (["gen", "--kind", "random", "--num-blocks", "1:{v}"], None),
     (["suite", "kac", "--trials", "{v}"], None),
     (["gen", "--kind", "random"], "CEPSKIT_SEED"),
-    (["suite", "kac", "--trials", "1"], "CEPSKIT_PARALLEL"),
-], ids=["p", "q", "n", "m", "cycles", "range", "trials", "env-seed", "env-parallel"])
+], ids=["p", "q", "n", "m", "cycles", "range", "trials", "env-seed"])
 def test_integer_inputs_are_strict(swap_file, capsys, monkeypatch, argv, env, value):
     """Every integer input is -?[0-9]+ in ASCII spaces; int() would read these."""
     if env:

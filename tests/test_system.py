@@ -64,6 +64,34 @@ def test_validate_itemizes_malformed_pieces():
             "tau-permutation"} <= failed
 
 
+@pytest.mark.parametrize("raw, failed, witness", [
+    ({"size": 2, "weights": ["1", "1"], "blocks": [[0, 1]], "tau": [0, 0]},
+     "tau-permutation", [0, 0]),
+    ({"size": 2, "weights": ["1", "0"], "blocks": [[0, 1]], "tau": [1, 0]},
+     "weights-strictly-positive", 1),
+    ({"size": 3, "weights": ["1", "1", "1"], "blocks": [[0, 1]], "tau": [1, 0, 2]},
+     "blocks-partition", 2),
+], ids=["tau", "weight", "gap"])
+def test_malformed_pieces_are_validated_once(monkeypatch, raw, failed, witness):
+    calls = []
+    real = system.validate_parts
+    monkeypatch.setattr(system, "validate_parts",
+                        lambda *pieces: calls.append(pieces) or real(*pieces))
+    report = validate_ceps(raw)
+    assert len(calls) == 1
+    # The refusal's report itemizes every well-formedness check, passed or not.
+    assert [c.name for c in report.checks] == [
+        "size-positive", "weights-wellformed", "weights-strictly-positive",
+        "blocks-partition", "tau-permutation"]
+    assert report.failures() == (Check(failed, False, witness),)
+    # The constructor's refusal carries that same full report; its message
+    # names the failed checks only.
+    with pytest.raises(InvalidSystem,
+                       match=f"^invalid system: failed checks: {failed}$") as info:
+        GroundSystem(*system._parse_parts(raw), check_axioms=False)
+    assert info.value.report.checks == report.checks
+
+
 def test_validate_never_raises_on_garbage():
     assert not validate_ceps({"size": "x"}).ok
     assert not validate_ceps({}).ok

@@ -7,6 +7,7 @@ import pytest
 from cepskit.errors import (
     DimensionError,
     DomainError,
+    InvalidSystem,
     NotAperiodicAtHorizon,
     NotConditionallyErgodic,
 )
@@ -21,6 +22,7 @@ from cepskit.generators import (
     with_single_block,
 )
 from cepskit.lattice import elem
+from cepskit.system import Check, GroundSystem
 from cepskit.tower import (
     build_tower,
     build_tower_eps,
@@ -261,6 +263,19 @@ def test_tower_eps_ls_names_short_cycle_in_callers_indices():
     with pytest.raises(NotAperiodicAtHorizon) as info:
         build_tower_eps_ls(merged, range(12, 15), 2, F(1, 5))
     assert info.value.cycle == (12, 13, 14)
+
+
+def test_tower_eps_ls_refuses_weights_that_are_not_invariant():
+    # A force-admitted system: refused with the one failed check, witnessed
+    # in the caller's indices, not in the subsystem's.
+    pieces = direct_product([single_cycle(12), single_cycle(12)])
+    weights = list(pieces.weights)
+    weights[13] += 1
+    forced = GroundSystem(pieces.size, weights, pieces.blocks, pieces.tau,
+                          check_axioms=False)
+    with pytest.raises(InvalidSystem) as info:
+        build_tower_eps_ls(forced, range(12, 24), 2, F(1, 5))
+    assert info.value.report.checks == (Check("weights-tau-invariant", False, 12),)
 
 
 @pytest.mark.parametrize("call", [
