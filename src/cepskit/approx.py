@@ -31,14 +31,15 @@ and each block is maximised on its own. The analytic majorant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 from typing import Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
-                      band_project, elem)
+from .lattice import (BlockValues, Component, LatticeElement, as_component, band_project,
+                      elem)
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -75,12 +76,10 @@ class PeriodicApproximation:
     tower_minus_top: Component  # q = join_{i<=n-2} S^i p
     eps: Fraction
     certificate: DistanceCertificate
+    cycle_lengths: dict[int, int] = field(repr=False, compare=False)  # by length
 
     def cycle_length_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for cyc in permutation_cycles(self.tau_prime):
-            hist[len(cyc)] = hist.get(len(cyc), 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(self.cycle_lengths)
 
     def as_dict(self) -> dict:
         return {
@@ -163,18 +162,14 @@ def build_s_prime(
 
     _check_ts_prime_equals_t(sys, tau_prime)
 
-    max_cycle = max(len(c) for c in permutation_cycles(tau_prime))
-    if max_cycle > n:
+    cycle_lengths = dict(sorted(Counter(map(len, permutation_cycles(tau_prime))).items()))
+    if max(cycle_lengths) > n:
         raise TheoremViolation(
-            f"tau' has a cycle of length {max_cycle} > period bound {n}"
+            f"tau' has a cycle of length {max(cycle_lengths)} > period bound {n}"
         )
 
-    tp = sys.component_expectation(p)
-    t_residual = sys.component_expectation(complement)
-    majorant_element = sys.block_element({
-        b: 2 * tp.get(b, ZERO) + 2 * t_residual.get(b, ZERO)
-        for b in tp.keys() | t_residual.keys()
-    })
+    # 2Tp + 2T(e-h) in one kernel pass.
+    majorant_element = sys.block_element(sys._t_sum(((2, p), (2, complement))))
     if eps is None:
         eps = max(majorant_element.per_block)
     eps = as_rational(eps)
@@ -188,6 +183,7 @@ def build_s_prime(
         tower_minus_top=q,
         eps=eps,
         certificate=certificate,
+        cycle_lengths=cycle_lengths,
     )
 
 
@@ -202,18 +198,19 @@ def _extract_point_map(sys: GroundSystem, levels: tuple[Component, ...]) -> tupl
     tau^{-j}(m), so S chi_m is read off ``tau_inverse`` and S^{1-n} chi_m
     is ``tau_power(n - 1, m)``.
     """
-    n, top = len(levels), levels[-1]
-    h = frozenset().union(*levels)
-    q = frozenset().union(*levels[:-1])
-    inverse = sys.tau_inverse
+    n, inverse = len(levels), sys.tau_inverse
+    where = bytearray(sys.size)  # bit 1: m in q; bit 2: m in the top level
+    for i, level in enumerate(levels):
+        for m in level:
+            where[m] |= 2 if i == n - 1 else 1
     tau_prime = [-1] * sys.size
     for m in range(sys.size):
         hits = []
-        if m in q:
+        if where[m] & 1:
             hits.append(inverse[m])
-        if m in top:
+        if where[m] & 2:
             hits.append(sys.tau_power(n - 1, m))
-        if m not in h:
+        if not where[m]:
             hits.append(m)
         if len(hits) != 1:
             image = elem([hits.count(x) for x in range(sys.size)])

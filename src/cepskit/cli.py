@@ -334,7 +334,7 @@ def _tower_body(sys, t, csv_path) -> dict:
     if csv_path:
         rows = []
         for i, level in enumerate(t.levels):
-            mass = sys.component_expectation(level)
+            mass = sys._t_sum(((1, level),))
             per_block = [format_rational(mass.get(b, ZERO))
                          for b in range(len(sys.blocks))]
             rows.append([i, " ".join(map(str, sorted(level))), " ".join(per_block)])

@@ -15,16 +15,19 @@ simulation lives in oracles.py and is used only to cross-check.
 
 The sums are finite here: q(p,k) = 0 once k exceeds the longest tau-cycle
 meeting p, because a point returns to p no later than its cycle closes.
+
+A caller's p is checked once, by ``return_decomposition``; its callers read
+the checked p as its ``base``. T n(p) = sum_k k T q(p,k) is one pass of the
+T kernel ``GroundSystem._t_sum`` over the parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .lattice import ONE, ZERO, Component, LatticeElement, as_component, elem
+from .lattice import ONE, Component, LatticeElement, elem
 from .system import GroundSystem
 
 
@@ -92,7 +95,6 @@ def return_decomposition(sys: GroundSystem, p: Iterable[int]) -> ReturnDecomposi
 
 def first_return_time(sys: GroundSystem, p: Iterable[int]) -> LatticeElement:
     """n(p) = sum_k k q(p,k): the return time at each point of p, 0 off p."""
-    p = as_component(p)
     values = [0] * sys.size
     for k, qk in return_decomposition(sys, p).parts.items():
         for x in qk:
@@ -143,13 +145,9 @@ def kac_certificate(
     would be a build-breaking defect, not a data condition.
     """
     sys.require_conditionally_ergodic()
-    p = sys.component(p)
-    # T n(p) = sum_k k T q(p,k), taken block by block.
-    t_np: dict[int, Fraction] = {}
-    for k, qk in return_decomposition(sys, p).parts.items():
-        for b, t in sys.component_expectation(qk).items():
-            t_np[b] = t_np.get(b, ZERO) + k * t
-    lhs = sys.block_element(t_np)
+    decomp = return_decomposition(sys, p)
+    # T n(p) = sum_k k T q(p,k), in one integer pass over the parts.
+    lhs = sys.block_element(sys._t_sum(decomp.parts.items()))
     # P_{Tp} e is e on the blocks p meets (weights are positive), 0 elsewhere.
-    rhs = sys.block_element(dict.fromkeys(sys.component_expectation(p), ONE))
+    rhs = sys.block_element({sys.block_of[x]: ONE for x in decomp.base})
     return lhs, rhs, lhs == rhs

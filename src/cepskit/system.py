@@ -245,15 +245,24 @@ class GroundSystem:
         """T chi_c, sparsely: {block index: mass of c in the block / block mass}.
 
         Blocks that c misses are omitted (their entry is 0), so two
-        components have equal T exactly when their dicts are equal. Costs
-        O(|c|) integer additions, against O(N) Fraction operations for the
-        dense ``expectation``.
+        components have equal T exactly when their dicts are equal. Checks the
+        members, then runs ``_t_sum``: O(|c|) integer additions, against O(N)
+        Fraction operations for the dense ``expectation``.
+        """
+        return self._t_sum(((1, self.component(c)),))
+
+    def _t_sum(self, terms: Iterable[tuple[int, Component]]) -> dict[int, Fraction]:
+        """The one T kernel: T(sum k chi_c) over (k, c) terms, sparsely as above.
+
+        Integer ``scaled_weights`` are summed per block, then one Fraction per
+        block. Members are unchecked: callers pass components already checked.
         """
         weight, mass = self.scaled_weights
         sums: dict[int, int] = {}
-        for x in self.component(c):
-            b = self.block_of[x]
-            sums[b] = sums.get(b, 0) + weight[x]
+        for k, c in terms:
+            for x in c:
+                b = self.block_of[x]
+                sums[b] = sums.get(b, 0) + k * weight[x]
         return {b: Fraction(total, mass[b]) for b, total in sums.items()}
 
     def block_element(self, values: Mapping[int, Fraction]) -> BlockValues:

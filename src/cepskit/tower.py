@@ -21,11 +21,12 @@ truncation.
 All inequalities are certified with both sides stored verbatim as exact
 rationals. The base is read off cycle positions (S^j moves a point j
 places back along its tau-cycle), the levels come from
-``GroundSystem.iterates``, and T of a component is taken block by block with
-``component_expectation``. Every side is T of something or a multiple of
-e, so it is constant on blocks: it is stored as ``BlockValues`` (per
-tau-cycle for the L_S bound, whose blocks are the orbits) and compared
-in O(#blocks).
+``GroundSystem.iterates``, and T of a component is taken block by block by
+the T kernel ``GroundSystem._t_sum``. A caller's p or v is checked once, at
+the entry or by ``return_decomposition``; what is built from it is not.
+Every side is T of something or a multiple of e, so it is constant on
+blocks: it is stored as ``BlockValues`` (per tau-cycle for the L_S bound,
+whose blocks are the orbits) and compared in O(#blocks).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import DomainError, InvalidSystem, NotAperiodicAtHorizon, TheoremVi
 from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
-from .system import GroundSystem, ValidationReport
+from .system import Check, GroundSystem, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,13 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     if n < 1:
         raise DomainError(f"tower height must be >= 1, got {n}")
     sys.require_conditionally_ergodic()
-    p = sys.component(p)
+    decomp = return_decomposition(sys, p)
+    p = decomp.base
 
     # x in q(p,k) lies in R_{n(j+1)} exactly for 0 <= j < k // n, and
     # S^{nj} moves it n*j places back along its cycle.
     base: set[int] = set()
-    for k, qk in return_decomposition(sys, p).parts.items():
+    for k, qk in decomp.parts.items():
         for x in qk:
             cyc = sys.cycles[sys.cycle_of[x]]
             pos = sys.position_in_cycle[x]
@@ -146,10 +148,10 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     residual = sys.ground_set() - covered
 
     # (P_{Tp}e - (n-1)Tp)^+ is max(1 - (n-1) Tp, 0) on the blocks p meets.
-    tp = sys.component_expectation(p)
+    tp = sys._t_sum(((1, p),))
     certificate = BoundCertificate(
         name="tower-mass-lower-bound",
-        lhs=sys.block_element(sys.component_expectation(covered)),
+        lhs=sys.block_element(sys._t_sum(((1, covered),))),
         rhs=sys.block_element({b: max(ONE - (n - 1) * t, ZERO) for b, t in tp.items()}),
         relation=">=",
     )
@@ -176,12 +178,9 @@ def proof_chain_identity(
     ``tower`` is the caller's ``build_tower(sys, p, n)``; n is its height.
     """
     n = tower.height
-    lhs = sys.block_element(sys.component_expectation(tower.covered()))
-    per_block: dict[int, Fraction] = {}
-    for i, qi in return_decomposition(sys, p).parts.items():
-        for b, t in sys.component_expectation(qi).items():
-            per_block[b] = per_block.get(b, ZERO) + n * (i // n) * t
-    rhs = sys.block_element(per_block)
+    parts = return_decomposition(sys, p).parts
+    lhs = sys.block_element(sys._t_sum(((1, tower.covered()),)))
+    rhs = sys.block_element(sys._t_sum((n * (i // n), qi) for i, qi in parts.items()))
     return lhs, rhs, lhs == rhs
 
 
@@ -255,7 +254,7 @@ def find_base_component(sys: GroundSystem, horizon: int) -> Component:
             f"iterates of base component {sorted(c_n)} are not disjoint up to "
             f"horizon {horizon}"
         )
-    if len(sys.component_expectation(c_n)) != len(sys.blocks):
+    if len(sys._t_sum(((1, c_n),))) != len(sys.blocks):
         raise TheoremViolation(
             f"T applied to base component {sorted(c_n)} lacks full support"
         )
@@ -276,15 +275,13 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
         raise DomainError(f"eps must be positive, got {format_rational(eps)}")
     if n < 1:
         raise DomainError(f"tower height must be >= 1, got {n}")
-    sys.require_conditionally_ergodic()
-
     horizon = floor(Fraction(n - 1) / eps) + 1
     p = find_base_component(sys, horizon)
     tower = build_tower(sys, p, n)
 
     residual_bound = BoundCertificate(
         name="residual-mass-bound",
-        lhs=sys.block_element(sys.component_expectation(tower.residual)),
+        lhs=sys.block_element(sys._t_sum(((1, tower.residual),))),
         rhs=sys.block_constant(eps),
         relation="<=",
     )
@@ -293,7 +290,7 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
             f"residual mass bound failed at eps = {format_rational(eps)}: "
             f"T(residual) = {residual_bound.lhs!r}"
         )
-    tp = sys.component_expectation(p)
+    tp = sys._t_sum(((1, p),))
     extras = [tower.bound_certificate]
     extras.append(
         BoundCertificate(
@@ -348,15 +345,14 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         if len(cyc) <= horizon:
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
 
-    # The orbit refinement is a system only if the weights are tau-invariant,
-    # which a force-admitted system may break: refused with that one check.
-    invariant = next(c for c in sys.structure.checks
-                     if c.name == "weights-tau-invariant")
-    if not invariant.passed:
-        raise InvalidSystem(ValidationReport((invariant,)))
     # The orbit refinement restricted to v: the points of v renumbered in
-    # sorted order, its blocks the cycles in v in order of minimum index.
+    # sorted order, its blocks the cycles in v in order of minimum index. It
+    # needs tau-invariant weights on v only, which a forced system may break.
     embed = sorted(v)
+    broken = next((x for x in embed if sys.weights[sys.tau[x]] != sys.weights[x]), None)
+    if broken is not None:
+        raise InvalidSystem(ValidationReport(
+            (Check("weights-tau-invariant", False, broken),)))
     local = {x: k for k, x in enumerate(embed)}
     sub = GroundSystem(
         size=len(embed),

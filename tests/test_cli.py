@@ -156,6 +156,27 @@ def test_tower_ls_command(tmp_path, capsys):
     assert code == 2 and report["kind"] == "NotConditionallyErgodic"
 
 
+def test_tower_ls_reads_only_the_weights_on_v(tmp_path, capsys):
+    # A force-admitted system whose weights break tau-invariance only off v:
+    # the L_S tower on v never reads them.
+    raw = direct_product([single_cycle(12), single_cycle(12)]).as_dict()
+    raw["weights"][19] = "5"
+    path = tmp_path / "w24.json"
+    path.write_text(json.dumps(raw))
+    code, report = run(capsys, "tower-ls", "--system", str(path), "--v",
+                       ",".join(map(str, range(12))), "--n", "2", "--eps", "1/5",
+                       "--force")
+    assert code == 0 and report["outcome"] == "pass"
+    certificates = [report["certificate"], *report["extra_certificates"]]
+    assert len(certificates) == 4 and all(c["holds"] for c in certificates)
+    # On the cycle that breaks it, the first point of v that does is the witness.
+    code, report = run(capsys, "tower-ls", "--system", str(path), "--v",
+                       ",".join(map(str, range(12, 24))), "--n", "2", "--eps", "1/5",
+                       "--force")
+    assert code == 2 and report["checks"] == [
+        {"name": "weights-tau-invariant", "passed": False, "witness": 18}]
+
+
 def test_aperiodic_command(tmp_path, capsys):
     path = tmp_path / "p35.json"
     save(direct_product([single_cycle(3), single_cycle(5)]), path)

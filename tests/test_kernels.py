@@ -393,6 +393,18 @@ def test_component_expectation_is_dense_t(sys, data):
     dense = sys.expectation(sys.indicator(c))
     assert tuple(sparse.get(sys.block_of[i], 0) for i in range(sys.size)) \
         == dense.values
+    # The kernel behind it, on integer-weighted disjoint terms: T of their sum.
+    drawn = data.draw(st.lists(st.tuples(st.integers(-2, 6), subsets(sys.size)),
+                               max_size=4))
+    terms, taken = [], set()
+    for k, members in drawn:
+        terms.append((k, frozenset(members - taken)))
+        taken |= members
+    kernel = sys._t_sum(terms)
+    assert set(kernel) == {sys.block_of[x] for x in taken}
+    combination = elem([sum(k for k, part in terms if i in part) for i in range(sys.size)])
+    assert tuple(kernel.get(sys.block_of[i], 0) for i in range(sys.size)) \
+        == sys.expectation(combination).values
 
 
 def block_values_on(owner):

@@ -191,8 +191,10 @@ def test_kac_scalar_shadow_on_single_cycles():
     lambda sys: q_component(sys, {5}, 1),
     # A negative index would otherwise wrap to the last point of Omega.
     lambda sys: q_component(sys, {-1}, 1),
+    lambda sys: first_return_time(sys, {-1}),
+    lambda sys: disjointness_witnesses(sys, {0, 5}),
 ], ids=["kac", "decomposition", "recurrent-p", "recurrent-q", "q-component-too-large",
-        "q-component-negative"])
+        "q-component-negative", "first-return-time-negative", "disjointness"])
 def test_components_off_omega_raise_dimension_error(call):
     with pytest.raises(DimensionError):
         call(swap_example())

@@ -21,7 +21,9 @@ from cepskit.generators import (
     truncated_counterexample,
     with_single_block,
 )
+from cepskit.approx import build_s_prime
 from cepskit.lattice import elem
+from cepskit.recurrence import kac_certificate
 from cepskit.system import Check, GroundSystem
 from cepskit.tower import (
     build_tower,
@@ -278,11 +280,32 @@ def test_tower_eps_ls_refuses_weights_that_are_not_invariant():
     assert info.value.report.checks == (Check("weights-tau-invariant", False, 12),)
 
 
+def test_callers_component_is_checked_once(monkeypatch):
+    # The caller's p is checked by return_decomposition; the parts, the base
+    # and the levels built from it go to the T kernel unchecked.
+    sys = direct_product([single_cycle(5), single_cycle(7)])
+    p = [0, 2, 5, 9]
+    tower = build_tower(sys, p, 2)
+    check, calls = GroundSystem.component, []
+    monkeypatch.setattr(GroundSystem, "component",
+                        lambda self, c: calls.append(c) or check(self, c))
+    for call in (lambda: kac_certificate(sys, p), lambda: build_tower(sys, p, 2),
+                 lambda: proof_chain_identity(sys, p, tower)):
+        calls.clear()
+        assert call()
+        assert calls == [p]
+
+
 @pytest.mark.parametrize("call", [
     lambda: n_aperiodic(swap_example(), {5}, 1),
     lambda: n_aperiodic(swap_example(), {-1}, 1),
     lambda: build_tower_eps_ls(single_cycle(12), {5, 99}, 2, "1/5"),
-], ids=["aperiodic-too-large", "aperiodic-negative", "tower-ls-v"])
+    lambda: build_tower(swap_example(), {0, 5}, 1),
+    lambda: proof_chain_identity(swap_example(), {-1},
+                                 build_tower(swap_example(), {0}, 1)),
+    lambda: build_s_prime(single_cycle(12), {0, 12}, 2),
+], ids=["aperiodic-too-large", "aperiodic-negative", "tower-ls-v", "tower",
+        "proof-chain", "s-prime"])
 def test_components_off_omega_raise_dimension_error(call):
     with pytest.raises(DimensionError):
         call()
