@@ -225,19 +225,13 @@ def _extract_point_map(sys: GroundSystem, levels: tuple[Component, ...]) -> tupl
 
 
 def _check_ts_prime_equals_t(sys: GroundSystem, tau_prime: tuple[int, ...]) -> None:
-    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}.
-
-    T chi_x is w_x / mass_b on the block b of x and 0 elsewhere, and weights
-    are positive, so T chi_x = T chi_m exactly when x and m share their
-    block and their scaled weight.
-    """
-    weight, block_of = sys.scaled_weights[0], sys.block_of
+    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}."""
     preimage = [0] * sys.size
     for x, m in enumerate(tau_prime):
         preimage[m] = x
-    for m, x in enumerate(preimage):
-        if block_of[x] != block_of[m] or weight[x] != weight[m]:
-            raise TheoremViolation(f"TS' = T fails on indicator of {m}")
+    m = sys._ts_equals_t_witness(preimage)
+    if m is not None:
+        raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
 
 def distance_profile(

@@ -17,9 +17,6 @@ The verdicts (kac, decompose, recurrent, tower, tower-eps, tower-ls, aperiodic,
 approx) load --system once and share one envelope, {"scenario", "inputs":
 {"system_digest", ...}, ..., "timing_seconds"}; timing_seconds leaves out the
 load. validate, gen, suite and demo-paper-examples build their own reports.
-
-Environment variable: CEPSKIT_SEED overrides the default --seed of gen and
-suite (an integer; anything else is exit 3).
 """
 
 from __future__ import annotations
@@ -63,8 +60,10 @@ from .tower import build_tower, build_tower_eps, build_tower_eps_ls, n_aperiodic
 
 
 class _Parser(argparse.ArgumentParser):
-    # The --seed options whose default _parse_args refreshes from CEPSKIT_SEED.
-    seed_options: tuple[argparse.Action, ...] = ()
+    # Whole option names only. add_subparsers builds each subcommand's
+    # parser from this class, so the keyword reaches all of them.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):  # argparse would exit 2; the taxonomy wants 3
         raise MalformedInput(f"{message}\n{self.format_usage()}")
@@ -150,16 +149,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-_DEFAULT_SEED = "0"  # a string, like CEPSKIT_SEED: argparse applies the type
-
-
 def build_parser() -> _Parser:
-    """The cepskit argument parser; it reads no call-time state.
-
-    ``main`` parses with one parser per process (``_cached_parser``), and
-    ``_parse_args`` sets its --seed defaults of gen and suite from
-    CEPSKIT_SEED on every call.
-    """
+    """The cepskit argument parser; ``main`` parses with one per process."""
     parser = _Parser(prog="cepskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -181,7 +172,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--cycles", help="CSV of cycle lengths (kind=product)")
     gen.add_argument("--truncated", type=_integer_option,
                      help="product of cycles 1..M (kind=product)")
-    gen_seed = gen.add_argument("--seed", type=_integer_option, default=_DEFAULT_SEED)
+    gen.add_argument("--seed", type=_integer_option, default=0)
     gen.add_argument("--num-blocks", default="1:3")
     gen.add_argument("--cycle-lengths", default="1:8")
     gen.add_argument("--denom-bound", type=_integer_option, default=12)
@@ -214,7 +205,7 @@ def build_parser() -> _Parser:
 
     ap = common(sub.add_parser("aperiodic", help="N-aperiodicity surrogate"))
     ap.add_argument("--v", required=True)
-    ap.add_argument("--N", "--n", type=_integer_option, required=True, dest="horizon")
+    ap.add_argument("--N", type=_integer_option, required=True, dest="horizon")
     ap.add_argument("--mode", default="criterion",
                     choices=["criterion", "definitional", "both"])
 
@@ -229,26 +220,16 @@ def build_parser() -> _Parser:
                 system=False)
     su.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
     su.add_argument("--trials", type=_integer_option, default=100)
-    suite_seed = su.add_argument("--seed", type=_integer_option, default=_DEFAULT_SEED)
+    su.add_argument("--seed", type=_integer_option, default=0)
     su.add_argument("--first-trial", type=_integer_option, default=0)
 
     common(sub.add_parser("demo-paper-examples",
                           help="reproduce the worked-example tables"),
            system=False)
-    parser.seed_options = (gen_seed, suite_seed)
     return parser
 
 
 _cached_parser = functools.cache(build_parser)
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv with the process's one parser and the current CEPSKIT_SEED."""
-    parser = _cached_parser()
-    seed = os.environ.get("CEPSKIT_SEED", _DEFAULT_SEED)
-    for action in parser.seed_options:
-        action.default = seed
-    return parser.parse_args(argv)
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -314,9 +295,7 @@ def _cmd_decompose(args, sys) -> tuple[int, dict, dict]:
     n_p = first_return_time(sys, p)
     kac_ok = kac_certificate(sys, p)[2] if sys.is_conditionally_ergodic() else None
     return (0 if kac_ok is None or kac_ok else 1), {}, {
-        "p": sorted(p),
-        "parts": {str(k): sorted(v) for k, v in sorted(decomp.parts.items())},
-        "horizon": decomp.horizon,
+        **decomp.as_dict(),
         "n_of_p": [format_rational(a) for a in n_p],
         "kac_ok": kac_ok,
     }
@@ -476,7 +455,7 @@ def _run(args) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _cached_parser().parse_args(argv)
         code, report = _run(args)
         # A generated system is itself gen's --out file (already written).
         _emit(report, None if args.command == "gen" and code == 0 else args.out)

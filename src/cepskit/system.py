@@ -265,6 +265,21 @@ class GroundSystem:
                 sums[b] = sums.get(b, 0) + k * weight[x]
         return {b: Fraction(total, mass[b]) for b, total in sums.items()}
 
+    def _ts_equals_t_witness(self, preimage: Sequence[int]) -> int | None:
+        """The first m with TS chi_m != T chi_m, or None; S chi_m = chi_{preimage[m]}.
+
+        T chi_x is w_x / mass_b on the block b of x and 0 elsewhere, and
+        weights are positive, so T chi_x = T chi_m exactly when x and m
+        share their block and their scaled weight. Whole tuples are
+        compared first, in C; the index scan runs only on a failure.
+        """
+        weight, block_of = self.scaled_weights[0], self.block_of
+        if (tuple(map(block_of.__getitem__, preimage)) == block_of
+                and tuple(map(weight.__getitem__, preimage)) == weight):
+            return None
+        return next(m for m, x in enumerate(preimage)
+                    if block_of[x] != block_of[m] or weight[x] != weight[m])
+
     def block_element(self, values: Mapping[int, Fraction]) -> BlockValues:
         """The element equal to values[b] on block b, 0 on blocks not listed.
 
@@ -492,7 +507,7 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
       caller's component would be.
     * Se = e as tau^{-1}(Omega) = Omega, read off the ``tau_inverse`` table.
     * TS chi_m = T chi_m for every m, comparing block and scaled weight of
-      tau^{-1}(m) and m as integers, index by index.
+      tau^{-1}(m) and m as integers (``GroundSystem._ts_equals_t_witness``).
 
     The structural and extensional verdicts for TS = T must agree; a
     mismatch is its own failed check. The report carries the system the
@@ -516,11 +531,7 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     checks.append(Check("Te-equals-e", totals == list(mass)))
     checks.append(Check("Se-equals-e", frozenset(sys.tau_inverse) == sys.ground_set()))
 
-    inverse, witness = sys.tau_inverse, None
-    if (tuple(map(block_of.__getitem__, inverse)) != block_of
-            or tuple(map(weight.__getitem__, inverse)) != weight):
-        witness = next(m for m, x in enumerate(inverse)
-                       if block_of[x] != block_of[m] or weight[x] != weight[m])
+    witness = sys._ts_equals_t_witness(sys.tau_inverse)
     checks.append(Check("TS-equals-T-extensional", witness is None, witness))
 
     # The pieces are well formed, so only the two invariance checks can fail.

@@ -289,12 +289,6 @@ def test_approx_csv_output(tmp_path, capsys):
     assert len(lines) == 8
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("CEPSKIT_SEED", "77")
-    code, report = run(capsys, "suite", "kac", "--trials", "2")
-    assert report["inputs"]["seed"] == 77
-
-
 def test_demo_paper_examples(capsys):
     code, report = run(capsys, "demo-paper-examples")
     assert code == 0
@@ -510,53 +504,31 @@ def test_every_verdict_shares_the_envelope(swap_file, tmp_path, capsys, argv):
     assert isinstance(timing, (int, float)) and timing >= 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["suite", "kac", "--trials", "1"],
-    ["gen", "--kind", "cycle", "--m", "3"],
-], ids=lambda argv: argv[0])
-def test_non_integer_env_seed_is_exit_3(swap_file, capsys, monkeypatch, argv):
-    monkeypatch.setenv("CEPSKIT_SEED", "abc")
-    code = main([a.format(swap=swap_file) for a in argv])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: argument --seed: invalid int value")
-    # A command without --seed does not read the variable; approx no
-    # longer has one.
-    code, report = run(capsys, "kac", "--system", swap_file, "--p", "0")
-    assert code == 0 and report["equal"] is True
-    code, report = run(capsys, "approx", "--system", swap_file, "--manual",
-                       "--p", "0", "--n", "2")
-    assert code == 0 and report["certificate"]["holds"] is True
-
-
 @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", "\t3", "3.0"])
-@pytest.mark.parametrize("argv, env", [
-    (["kac", "--system", "{swap}", "--p", "{v}"], None),
-    (["recurrent", "--system", "{swap}", "--p", "0", "--q", "0,{v}"], None),
-    (["tower", "--system", "{swap}", "--p", "0", "--n", "{v}"], None),
-    (["gen", "--kind", "cycle", "--m", "{v}"], None),
-    (["gen", "--kind", "product", "--cycles", "2,{v}"], None),
-    (["gen", "--kind", "random", "--num-blocks", "1:{v}"], None),
-    (["suite", "kac", "--trials", "{v}"], None),
-    (["gen", "--kind", "random"], "CEPSKIT_SEED"),
-], ids=["p", "q", "n", "m", "cycles", "range", "trials", "env-seed"])
-def test_integer_inputs_are_strict(swap_file, capsys, monkeypatch, argv, env, value):
+@pytest.mark.parametrize("argv", [
+    ["kac", "--system", "{swap}", "--p", "{v}"],
+    ["recurrent", "--system", "{swap}", "--p", "0", "--q", "0,{v}"],
+    ["tower", "--system", "{swap}", "--p", "0", "--n", "{v}"],
+    ["gen", "--kind", "cycle", "--m", "{v}"],
+    ["gen", "--kind", "product", "--cycles", "2,{v}"],
+    ["gen", "--kind", "random", "--num-blocks", "1:{v}"],
+    ["suite", "kac", "--trials", "{v}"],
+    ["gen", "--kind", "random", "--seed", "{v}"],
+], ids=["p", "q", "n", "m", "cycles", "range", "trials", "seed"])
+def test_integer_inputs_are_strict(swap_file, capsys, argv, value):
     """Every integer input is -?[0-9]+ in ASCII spaces; int() would read these."""
-    if env:
-        monkeypatch.setenv(env, value)
     code = main([a.format(swap=swap_file, v=value) for a in argv])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
-def test_integer_inputs_take_surrounding_spaces(swap_file, capsys, monkeypatch):
+def test_integer_inputs_take_surrounding_spaces(swap_file, capsys):
     code, report = run(capsys, "kac", "--system", swap_file, "--p", "0, 1")
     assert code == 0 and report["inputs"]["p"] == [0, 1]
     code, report = run(capsys, "tower", "--system", swap_file, "--p", " 0", "--n", "2 ")
     assert code == 0 and report["inputs"]["n"] == 2
-    monkeypatch.setenv("CEPSKIT_SEED", " -7 ")
-    code, report = run(capsys, "suite", "kac", "--trials", "1")
+    code, report = run(capsys, "suite", "kac", "--trials", "1", "--seed", " -7 ")
     assert code == 0 and report["inputs"]["seed"] == -7
 
 
@@ -621,32 +593,45 @@ def test_cached_parser_help_matches_a_fresh_parser(capsys, command):
     assert _help_text(main, command, capsys) == fresh
 
 
-def test_cached_parser_reads_env_seed_on_every_call(capsys, monkeypatch):
+def test_cached_parser_is_built_once_and_ignores_the_environment(capsys, monkeypatch):
     explicit = {}
-    for seed in ("5", "6", "0"):
+    for seed in ("5", "0"):
         assert main(["gen", "--kind", "random", "--seed", seed]) == 0
         explicit[seed] = capsys.readouterr().out
-    assert len(set(explicit.values())) == 3
+    assert explicit["5"] != explicit["0"]
 
     builds = cli._cached_parser.cache_info().misses
-    seen = []
-    for value in ("5", "6", "abc", None):
+    for value in ("5", "abc", None):
         if value is None:
             monkeypatch.delenv("CEPSKIT_SEED", raising=False)
         else:
             monkeypatch.setenv("CEPSKIT_SEED", value)
         code = main(["gen", "--kind", "random"])
         captured = capsys.readouterr()
-        seen.append((code, captured.out, captured.err))
+        assert (code, captured.out, captured.err) == (0, explicit["0"], ""), value
     assert cli._cached_parser.cache_info().misses == builds == 1
-    assert seen[0] == (0, explicit["5"], "")
-    assert seen[1] == (0, explicit["6"], "")
-    code, out, err = seen[2]
-    assert code == 3 and out == ""
-    usage = _help_text(cli.build_parser().parse_args, ["gen"], capsys).split("\n\n")[0]
-    assert usage.startswith("usage: cepskit gen [-h] ")
-    assert err == f"error: argument --seed: invalid int value: 'abc'\n{usage}\n\n"
-    assert seen[3] == (0, explicit["0"], "")
+
+
+@pytest.mark.parametrize("argv, error, whole", [
+    (["aperiodic", "--system", "{swap}", "--v", "0", "--n", "3"],
+     "the following arguments are required: --N", {"--n": "--N"}),
+    (["aperiodic", "--system", "{swap}", "--v", "0", "--N", "3", "--n", "3"],
+     "unrecognized arguments: --n 3", {"--n": "--N"}),
+    (["kac", "--sys", "{swap}", "--p", "0"],
+     "the following arguments are required: --system", {"--sys": "--system"}),
+    (["suite", "kac", "--tri", "2"], "unrecognized arguments: --tri 2",
+     {"--tri": "--trials"}),
+], ids=["aperiodic-n", "aperiodic-n-after-N", "kac-sys", "suite-tri"])
+def test_every_option_has_one_spelling(swap_file, capsys, argv, error, whole):
+    """No alias and no prefix of an option name is read: both are exit 3."""
+    argv = [a.format(swap=swap_file) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: {error}\n")
+    # The same argv with each option spelled in full passes.
+    assert main([whole.get(a, a) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_parse_leaves_the_next_call_alone(swap_file, capsys):
