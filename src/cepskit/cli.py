@@ -359,6 +359,8 @@ def _cmd_approx(args, sys) -> tuple[int, dict, dict]:
         eps = None if args.eps is None else _parse_eps(args.eps)
         result = build_s_prime(sys, _parse_indices(args.p, sys.size), args.n, eps=eps)
     else:
+        if args.p is not None or args.n is not None:
+            raise MalformedInput("approx --p and --n need --manual")
         if args.eps is None:
             raise MalformedInput("approx needs --eps (or --manual)")
         eps = _parse_eps(args.eps)

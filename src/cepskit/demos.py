@@ -14,8 +14,7 @@ from fractions import Fraction
 from .approx import build_s_prime, distance_profile
 from .errors import NotAperiodicAtHorizon
 from .generators import single_cycle, swap_example, truncated_counterexample
-from .lattice import band_project, elem
-from .rationals import format_rational
+from .lattice import band_project, elem, jsonable
 from .tower import build_tower, build_tower_eps
 from .recurrence import kac_certificate
 
@@ -23,8 +22,8 @@ from .recurrence import kac_certificate
 def _entry(name, expected, actual, informational=False, note=None):
     item = {
         "name": name,
-        "expected": _show(expected),
-        "actual": _show(actual),
+        "expected": jsonable(expected),
+        "actual": jsonable(actual),
         "pass": True if informational else expected == actual,
     }
     if informational:
@@ -32,20 +31,6 @@ def _entry(name, expected, actual, informational=False, note=None):
     if note:
         item["note"] = note
     return item
-
-
-def _show(value):
-    from .lattice import LatticeElement
-
-    if isinstance(value, LatticeElement):
-        return value.formatted()
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (tuple, list)):
-        return [_show(v) for v in value]
-    return value
 
 
 def paper_examples_report() -> dict:

@@ -232,3 +232,18 @@ def support_component(f: LatticeElement) -> Component:
     if not f.is_nonnegative():
         raise DomainError(f"support_component requires f >= 0, got {f!r}")
     return f.support()
+
+
+def jsonable(value):
+    """A library value as JSON data, for reports: an element as its formatted
+    entries, a set sorted, a Fraction as its "a/b" text, a tuple or list item
+    by item; anything else as it is."""
+    if isinstance(value, LatticeElement):
+        return value.formatted()
+    if isinstance(value, (frozenset, set)):
+        return sorted(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return value

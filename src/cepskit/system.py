@@ -34,7 +34,7 @@ from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
 from .jsontext import dumps_indented
 from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
-                      indicator, ones)
+                      indicator, jsonable, ones)
 from .rationals import as_rational, format_rational
 
 
@@ -65,20 +65,10 @@ class ValidationReport:
         return {
             "valid": self.ok,
             "checks": [
-                {"name": c.name, "passed": c.passed, "witness": _jsonable(c.witness)}
+                {"name": c.name, "passed": c.passed, "witness": jsonable(c.witness)}
                 for c in self.checks
             ],
         }
-
-
-def _jsonable(witness):
-    if isinstance(witness, (frozenset, set)):
-        return sorted(witness)
-    if isinstance(witness, Fraction):
-        return format_rational(witness)
-    if isinstance(witness, tuple):
-        return [_jsonable(w) for w in witness]
-    return witness
 
 
 def _distinct(values: Sequence) -> tuple[list[int], dict[int, object]]:
@@ -371,13 +361,17 @@ class GroundSystem:
         """Same (Omega, mu, tau) with blocks replaced by the tau-orbits.
 
         The result is conditionally ergodic and its conditional expectation
-        is the L_S of this system.
+        is the L_S of this system. The axioms are not enforced: the
+        refinement of a valid system is valid anyway, and that of a
+        force-admitted one is admitted too, its ``structure`` report naming
+        a weight that breaks tau-invariance.
         """
         return GroundSystem(
             size=self.size,
             weights=self.weights,
             blocks=tuple(frozenset(c) for c in self.cycles),
             tau=self.tau,
+            check_axioms=False,
         )
 
     # -- helpers --

@@ -16,7 +16,9 @@ requirement explicitly ("N-aperiodic": every cycle length >= N, here with
 N = floor((n-1)/eps) + 1 and base cycles of length >= N+1). When a cycle
 is too short the construction refuses with NotAperiodicAtHorizon - which
 is precisely how the direct-product counterexample manifests at finite
-truncation.
+truncation. The L_S variant for non-ergodic systems is the same
+construction on the orbit refinement, whose conditional expectation is
+L_S, over the tau-cycles of a component v.
 
 All inequalities are certified with both sides stored verbatim as exact
 rationals. The base is read off cycle positions (S^j moves a point j
@@ -25,7 +27,7 @@ places back along its tau-cycle), the levels come from
 the T kernel ``GroundSystem._t_sum``. A caller's p or v is checked once, at
 the entry or by ``return_decomposition``; what is built from it is not.
 Every side is T of something or a multiple of e, so it is constant on
-blocks: it is stored as ``BlockValues`` (per tau-cycle for the L_S bound,
+blocks: it is stored as ``BlockValues`` (per tau-cycle for the L_S tower,
 whose blocks are the orbits) and compared in O(#blocks).
 """
 
@@ -35,10 +37,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import floor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InvalidSystem, NotAperiodicAtHorizon, TheoremViolation
-from .lattice import ONE, ZERO, BlockValues, Component, LatticeElement
+from .lattice import ONE, ZERO, Component, LatticeElement
 from .rationals import as_rational, format_rational
 from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
 from .system import Check, GroundSystem, ValidationReport
@@ -240,13 +242,24 @@ def find_base_component(sys: GroundSystem, horizon: int) -> Component:
     pairwise disjoint and T c_N has full support - the two conclusions the
     maximality argument promises, checked here rather than assumed.
     """
+    return _base_component(sys, horizon, sys.cycles)
+
+
+def _base_component(sys: GroundSystem, horizon: int,
+                    cycles: Sequence[tuple[int, ...]]) -> Component:
+    """``find_base_component`` over the given tau-cycles only.
+
+    c_N is the minimum point of each given cycle, only those cycles must be
+    longer than the horizon, and full support means T c_N is nonzero on
+    their blocks.
+    """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     sys.require_conditionally_ergodic()
-    for cyc in sys.cycles:
+    for cyc in cycles:
         if len(cyc) <= horizon:
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
-    c_n = frozenset(cyc[0] for cyc in sys.cycles)
+    c_n = frozenset(cyc[0] for cyc in cycles)
 
     images = sys.iterates(c_n, horizon + 1)
     if sum(len(im) for im in images) != len(frozenset().union(*images)):
@@ -254,7 +267,7 @@ def find_base_component(sys: GroundSystem, horizon: int) -> Component:
             f"iterates of base component {sorted(c_n)} are not disjoint up to "
             f"horizon {horizon}"
         )
-    if len(sys._t_sum(((1, c_n),))) != len(sys.blocks):
+    if len(sys._t_sum(((1, c_n),))) != len(cycles):
         raise TheoremViolation(
             f"T applied to base component {sorted(c_n)} lacks full support"
         )
@@ -270,19 +283,33 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
     Tp <= eps/(n-1)*e when n >= 2 - are re-verified and attached to the
     tower as extra certificates.
     """
+    return _eps_tower(sys, n, eps, sys.cycles, "residual-mass-bound")
+
+
+def _eps_tower(sys: GroundSystem, n: int, eps, cycles: Sequence[tuple[int, ...]],
+               name: str) -> Tower:
+    """``build_tower_eps`` over the given tau-cycles, its bound named ``name``.
+
+    The base is ``_base_component`` of the cycles, and the residual bound
+    holds T(residual) <= eps on their blocks; over every cycle that is
+    T(residual) <= eps*e.
+    """
     eps = as_rational(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {format_rational(eps)}")
     if n < 1:
         raise DomainError(f"tower height must be >= 1, got {n}")
     horizon = floor(Fraction(n - 1) / eps) + 1
-    p = find_base_component(sys, horizon)
+    p = _base_component(sys, horizon, cycles)
     tower = build_tower(sys, p, n)
 
+    # sys is conditionally ergodic, so each cycle is one block.
+    blocks = [sys.block_of[cyc[0]] for cyc in cycles]
+    t_residual = sys._t_sum(((1, tower.residual),))
     residual_bound = BoundCertificate(
-        name="residual-mass-bound",
-        lhs=sys.block_element(sys._t_sum(((1, tower.residual),))),
-        rhs=sys.block_constant(eps),
+        name=name,
+        lhs=sys.block_element({b: t_residual[b] for b in blocks if b in t_residual}),
+        rhs=sys.block_element(dict.fromkeys(blocks, eps)),
         relation="<=",
     )
     if not residual_bound.holds:
@@ -322,12 +349,11 @@ def build_tower_eps(sys: GroundSystem, n: int, eps) -> Tower:
 def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Tower:
     """The epsilon-bounded tower under L_S, on an orbit-invariant component v.
 
-    Conditional ergodicity of the ambient system is not required: blocks
-    are replaced by orbits (the L_S refinement) and the construction runs
-    on the restriction to v. The certificate bounds L_S(v - levels) by
-    eps*v on the original system, so its sides cover all of Omega. The
-    extra certificates are the sub-tower's: their sides live on the
-    restricted subsystem, |v| points renumbered in the sorted order of v.
+    Conditional ergodicity of the ambient system is not required: it is the
+    epsilon-bounded tower of the orbit refinement, whose T is L_S, over the
+    tau-cycles in v. Its certificate bounds L_S(v - levels) by eps*v, and it
+    and the extra certificates cover all of Omega. The refinement needs
+    tau-invariant weights on v only, which a forced system may break.
     """
     eps = as_rational(eps)
     if eps <= 0:
@@ -337,58 +363,12 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         raise DomainError("v must be a nonzero orbit-invariant component")
     if sys.component_image(1, v) != v:
         raise DomainError(f"{sorted(v)} is not a union of tau-orbits")
-
-    horizon = floor(Fraction(n - 1) / eps) + 1
-    cycles_in_v = {sys.cycle_of[x] for x in v}
-    for c in cycles_in_v:
-        cyc = sys.cycles[c]
-        if len(cyc) <= horizon:
-            raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
-
-    # The orbit refinement restricted to v: the points of v renumbered in
-    # sorted order, its blocks the cycles in v in order of minimum index. It
-    # needs tau-invariant weights on v only, which a forced system may break.
-    embed = sorted(v)
-    broken = next((x for x in embed if sys.weights[sys.tau[x]] != sys.weights[x]), None)
-    if broken is not None:
+    # As tuples first: shared weight objects match by identity, in C.
+    weights, tau = sys.weights, sys.tau
+    if (tuple(map(weights.__getitem__, map(tau.__getitem__, v)))
+            != tuple(map(weights.__getitem__, v))):
+        broken = next(x for x in sorted(v) if weights[tau[x]] != weights[x])
         raise InvalidSystem(ValidationReport(
             (Check("weights-tau-invariant", False, broken),)))
-    local = {x: k for k, x in enumerate(embed)}
-    sub = GroundSystem(
-        size=len(embed),
-        weights=tuple(sys.weights[x] for x in embed),
-        blocks=tuple(frozenset(local[x] for x in sys.cycles[c])
-                     for c in sorted(cycles_in_v)),
-        tau=tuple(local[sys.tau[x]] for x in embed),
-    )
-    sub_tower = build_tower_eps(sub, n, eps)
-
-    base = frozenset(embed[i] for i in sub_tower.base)
-    levels = sys.iterates(base, n)
-    covered = frozenset().union(*levels)
-    # L_S(v - levels) and eps v, per tau-cycle: L_S averages over each cycle.
-    left = [0] * len(sys.cycles)
-    for x in v:
-        left[sys.cycle_of[x]] += 1
-    for x in covered:
-        left[sys.cycle_of[x]] -= 1
-    ls_bound = BoundCertificate(
-        name="ls-residual-mass-bound",
-        lhs=BlockValues((Fraction(k, len(cyc)) for k, cyc in zip(left, sys.cycles)),
-                        sys.cycle_of),
-        rhs=BlockValues((eps if c in cycles_in_v else ZERO
-                         for c in range(len(sys.cycles))), sys.cycle_of),
-        relation="<=",
-    )
-    if not ls_bound.holds:
-        raise TheoremViolation(
-            f"L_S residual bound failed at eps = {format_rational(eps)}"
-        )
-    return Tower(
-        base=base,
-        height=n,
-        levels=levels,
-        residual=sys.ground_set() - covered,
-        bound_certificate=ls_bound,
-        extra_certificates=sub_tower.extra_certificates,
-    )
+    cycles = [cyc for cyc in sys.cycles if cyc[0] in v]
+    return _eps_tower(sys.orbit_refinement(), n, eps, cycles, "ls-residual-mass-bound")

@@ -219,6 +219,19 @@ def test_approx_manual_and_auto(tmp_path, capsys):
     assert code == 2  # 7-cycle is far too short for the auto construction
 
 
+@pytest.mark.parametrize("manual_only", [["--p", "0", "--n", "2"], ["--p", "0"],
+                                         ["--n", "2"]], ids=["p-and-n", "p", "n"])
+def test_approx_reads_p_and_n_only_with_manual(tmp_path, capsys, manual_only):
+    # Theorem mode picks its own base and height, so --p and --n are refused
+    # rather than ignored.
+    c100 = tmp_path / "c100.json"
+    save(single_cycle(100), c100)
+    code = main(["approx", "--system", str(c100), "--eps", "1/2", *manual_only])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: approx --p and --n need --manual\n"
+
+
 def test_suite_command_and_repro(capsys):
     code, report = run(capsys, "suite", "kac", "--trials", "5", "--seed", "9")
     assert code == 0

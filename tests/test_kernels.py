@@ -740,6 +740,17 @@ def test_ls_bound_sides_are_dense_cesaro_mean(sys, data):
     chi_v = sys.indicator(v)
     left = sys.cesaro_mean(chi_v - sys.indicator(tower.covered()))
     assert_sides(tower.bound_certificate, left, eps * chi_v)
+    # The extra certificates are the epsilon tower's, with L_S for T.
+    base = frozenset(cyc[0] for cyc in sys.cycles if cyc[0] in v)
+    ls_base = sys.cesaro_mean(sys.indicator(base))
+    inner, times_horizon, *base_mass = tower.extra_certificates
+    assert_sides(inner, sys.cesaro_mean(sys.indicator(tower.covered())),
+                 (band_project(ls_base.support(), sys.unit) - (n - 1) * ls_base).pos_part())
+    horizon = floor((n - 1) / eps) + 1
+    assert_sides(times_horizon, horizon * ls_base, sys.unit)
+    assert len(base_mass) == (n >= 2)
+    for cert in base_mass:
+        assert_sides(cert, ls_base, (eps / (n - 1)) * sys.unit)
 
 
 @SETTINGS

@@ -415,6 +415,21 @@ def test_orbit_refinement():
     assert set(ident.orbit_refinement().blocks) == {frozenset([0]), frozenset([1])}
 
 
+def test_orbit_refinement_of_a_forced_system_is_admitted():
+    # Weights that break tau-invariance are kept, and the refinement's
+    # structure report says so instead of refusing it.
+    pieces = two_two_cycles()
+    weights = list(pieces.weights)
+    weights[3] += 1
+    forced = GroundSystem(pieces.size, weights, pieces.blocks, pieces.tau,
+                          check_axioms=False)
+    refined = forced.orbit_refinement()
+    assert refined.weights == forced.weights
+    assert set(refined.blocks) == {frozenset([0, 1]), frozenset([2, 3])}
+    assert not refined.structure.ok
+    assert refined.structure.failures() == (Check("weights-tau-invariant", False, 2),)
+
+
 def test_ergodic_iff_refinement_fixed():
     for sys in (swap_example(), two_two_cycles(),
                 with_single_block(two_two_cycles())):

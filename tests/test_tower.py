@@ -236,17 +236,17 @@ def test_tower_eps_ls_on_non_ergodic():
     assert half.bound_certificate.holds
 
 
-def test_tower_eps_ls_extra_certificates_live_on_v():
-    # The L_S certificate covers Omega; the sub-tower's extra certificates
-    # cover only v (the 12- and 9-cycles), renumbered 0..20.
+def test_tower_eps_ls_certificates_cover_omega_and_hold():
+    # v is the 12- and 9-cycles; every certificate, the extra ones too, has
+    # one entry per point of the whole system.
     sys = with_single_block(direct_product([single_cycle(12), single_cycle(9),
                                             single_cycle(3)]))
     report = build_tower_eps_ls(sys, range(21), 2, F(1, 5)).as_dict()
-    cert = report["certificate"]
-    assert len(cert["lhs"]) == len(cert["rhs"]) == 24
-    assert report["extra_certificates"]
-    for extra in report["extra_certificates"]:
-        assert len(extra["lhs"]) == len(extra["rhs"]) == 21
+    certificates = [report["certificate"], *report["extra_certificates"]]
+    assert len(certificates) == 4
+    for cert in certificates:
+        assert len(cert["lhs"]) == len(cert["rhs"]) == 24
+        assert cert["holds"]
 
 
 def test_tower_eps_ls_rejects_non_invariant_v():
@@ -259,12 +259,35 @@ def test_tower_eps_ls_rejects_non_invariant_v():
 
 
 def test_tower_eps_ls_names_short_cycle_in_callers_indices():
-    # The restricted subsystem would number this cycle (0, 1, 2); the
-    # up-front horizon check reports it in the ambient system's indices.
+    # The orbit refinement keeps the system's indices, so the short cycle is
+    # named in the caller's, not renumbered from 0.
     merged = with_single_block(direct_product([single_cycle(12), single_cycle(3)]))
     with pytest.raises(NotAperiodicAtHorizon) as info:
         build_tower_eps_ls(merged, range(12, 15), 2, F(1, 5))
     assert info.value.cycle == (12, 13, 14)
+
+
+def test_tower_eps_ls_names_the_first_short_cycle_of_v():
+    # v is the 2-cycle (60, 61) and the 3-cycle (162, 163, 164); both are
+    # below the horizon 6 + 1, and the first in index order is named.
+    sys = with_single_block(direct_product(
+        [single_cycle(m) for m in (20, 20, 20, 2, 20, 20, 20, 20, 20, 3)]))
+    v = [60, 61, 162, 163, 164]
+    with pytest.raises(NotAperiodicAtHorizon) as info:
+        build_tower_eps_ls(sys, v, 2, F(1, 5))
+    assert info.value.cycle == (60, 61)
+
+
+def test_tower_eps_ls_refuses_a_broken_weight_before_a_short_cycle():
+    # The 3-cycle in v is too short and breaks tau-invariance at 13.
+    pieces = direct_product([single_cycle(12), single_cycle(3)])
+    weights = list(pieces.weights)
+    weights[13] += 1
+    forced = GroundSystem(pieces.size, weights, pieces.blocks, pieces.tau,
+                          check_axioms=False)
+    with pytest.raises(InvalidSystem) as info:
+        build_tower_eps_ls(forced, range(12, 15), 2, F(1, 5))
+    assert info.value.report.checks == (Check("weights-tau-invariant", False, 12),)
 
 
 def test_tower_eps_ls_refuses_weights_that_are_not_invariant():
