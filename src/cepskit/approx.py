@@ -7,13 +7,13 @@ approximating homomorphism is the operator sum
 
 with h the whole tower and q the tower minus its top level. S' cycles
 the tower with period n and is the identity off it. Its point map tau'
-is read off the levels, built once by ``GroundSystem.iterates``, point
-by point: each coordinate indicator chi_m lies in exactly one of q,
-S^{n-1}p and e-h, and the matching term sends it to one coordinate
-indicator. The operator sum itself (``s_prime_operator``) is kept as
-the dense cross-check oracle. The construction is guarded by the
-partition-of-unity identity from the S'e = e computation and by
-TS' = T on every coordinate indicator. The conditional distance to S is
+and the inverse of tau' are read off the three terms in one pass over
+the points, on the levels built once by ``GroundSystem.iterates``: at
+each x exactly one term applies (S'e = e, pointwise), and its point is
+tau'(x); no point is the image of two (S' chi_m is a coordinate
+indicator); and TS' = T holds on every coordinate indicator, checked
+through the inverse. The operator sum itself (``s_prime_operator``) is
+kept as the dense cross-check oracle. The conditional distance to S is
 certified per component u:
 
     T |(S - S')u| <= eps e,
@@ -35,11 +35,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import (BlockValues, Component, LatticeElement, as_component, band_project,
-                      elem)
+from .lattice import BlockValues, Component, LatticeElement, as_component, band_project
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -49,7 +48,7 @@ from .tower import BoundCertificate, build_tower_eps
 class DistanceCertificate:
     """T|(S-S')u| <= eps e for every component u, by its exact supremum."""
 
-    mode: str  # always "closed-form"
+    mode: ClassVar[str] = "closed-form"
     eps: Fraction
     majorant: BoundCertificate  # 2Tp + 2T(e-h) <= eps e, exact
     worst_observed: BlockValues  # sup over all u of T|(S-S')u|, per block
@@ -125,7 +124,11 @@ def build_s_prime(
     n: int,
     eps=None,
 ) -> PeriodicApproximation:
-    """Assemble S' over a caller-supplied tower base (manual mode).
+    """Assemble S' over the tower base p with period bound n.
+
+    One pass over the points reads tau' and its inverse off the three
+    terms of S' and checks S'e = e, that every S' chi_m is a coordinate
+    indicator, and TS' = T; a failure is a ``TheoremViolation``.
 
     When eps is omitted it defaults to the largest coordinate of the
     analytic majorant 2Tp + 2T(e-h), which the construction always
@@ -146,21 +149,35 @@ def build_s_prime(
             f"iterates S^0..S^{n-1} of {sorted(p)} are not pairwise disjoint"
         )
     q = frozenset().union(*levels[: n - 1])
-
-    # The S'e = e computation, pointwise: the three indicator terms must
-    # partition unity at every point.
     complement = sys.ground_set() - h
+
+    # tau' and its inverse in one pass over the three terms of S'. At x the
+    # term S P_q applies when tau x is in q, S^{1-n} P_{S^{n-1}p} when x is
+    # in p, and P_{e-h} when x is off h; their count is the S'e = e
+    # computation at x, and the point of the one that applies is tau'(x).
+    # Then S' chi_m = chi_x for the x with tau'(x) = m: a second such x
+    # means S' chi_m is not a coordinate indicator.
+    tau = sys.tau
+    tau_prime, preimage = [0] * sys.size, [-1] * sys.size
     for x in range(sys.size):
-        terms = (sys.tau[x] in q) + (x in p) + (x in complement)
+        terms = (tau[x] in q) + (x in p) + (x in complement)
         if terms != 1:
             raise TheoremViolation(
                 f"indicator terms fail to partition unity at point {x} "
                 f"(sum = {terms})"
             )
+        m = tau[x] if tau[x] in q else sys.tau_power(1 - n, x) if x in p else x
+        if preimage[m] != -1:
+            raise TheoremViolation(
+                f"S' chi_{m} is not a coordinate indicator: it is 1 at {preimage[m]} "
+                f"and at {x}"
+            )
+        tau_prime[x], preimage[m] = m, x
+    tau_prime = tuple(tau_prime)
 
-    tau_prime = _extract_point_map(sys, levels)
-
-    _check_ts_prime_equals_t(sys, tau_prime)
+    m = sys._ts_equals_t_witness(preimage)
+    if m is not None:
+        raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
     cycle_lengths = dict(sorted(Counter(map(len, permutation_cycles(tau_prime))).items()))
     if max(cycle_lengths) > n:
@@ -185,53 +202,6 @@ def build_s_prime(
         certificate=certificate,
         cycle_lengths=cycle_lengths,
     )
-
-
-def _extract_point_map(sys: GroundSystem, levels: tuple[Component, ...]) -> tuple[int, ...]:
-    """Read tau' off the tower levels: S' chi_m is the indicator of tau'^{-1}(m).
-
-    The three terms of S' send chi_m to S chi_m if m is in q, to
-    S^{1-n} chi_m if m is in the top level and to chi_m if m is off the
-    tower; together they must hit exactly one point. This is the operator
-    sum ``s_prime_operator`` applied to chi_m, computed on the one point it
-    moves instead of on all N coordinates: S^j chi_m is the indicator of
-    tau^{-j}(m), so S chi_m is read off ``tau_inverse`` and S^{1-n} chi_m
-    is ``tau_power(n - 1, m)``.
-    """
-    n, inverse = len(levels), sys.tau_inverse
-    where = bytearray(sys.size)  # bit 1: m in q; bit 2: m in the top level
-    for i, level in enumerate(levels):
-        for m in level:
-            where[m] |= 2 if i == n - 1 else 1
-    tau_prime = [-1] * sys.size
-    for m in range(sys.size):
-        hits = []
-        if where[m] & 1:
-            hits.append(inverse[m])
-        if where[m] & 2:
-            hits.append(sys.tau_power(n - 1, m))
-        if not where[m]:
-            hits.append(m)
-        if len(hits) != 1:
-            image = elem([hits.count(x) for x in range(sys.size)])
-            raise TheoremViolation(
-                f"S' chi_{m} is not a coordinate indicator: {image!r}"
-            )
-        x = hits[0]
-        if tau_prime[x] != -1:
-            raise TheoremViolation(f"extracted point map not injective at {x}")
-        tau_prime[x] = m
-    return tuple(tau_prime)
-
-
-def _check_ts_prime_equals_t(sys: GroundSystem, tau_prime: tuple[int, ...]) -> None:
-    """TS' = T on every coordinate indicator, where S' chi_m = chi_{tau'^{-1}(m)}."""
-    preimage = [0] * sys.size
-    for x, m in enumerate(tau_prime):
-        preimage[m] = x
-    m = sys._ts_equals_t_witness(preimage)
-    if m is not None:
-        raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
 
 def distance_profile(
@@ -280,7 +250,6 @@ def _certify_distance(
             if len(blocks) == 1:
                 cut[blocks.pop()] -= min(weight[x] for x in terms)
     return DistanceCertificate(
-        mode="closed-form",
         eps=eps,
         majorant=BoundCertificate(
             name="distance-majorant",

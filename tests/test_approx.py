@@ -4,6 +4,7 @@ from math import factorial, lcm
 
 import pytest
 
+from cepskit import approx as approx_mod
 from cepskit.approx import (
     approximate_periodic,
     build_s_prime,
@@ -223,6 +224,22 @@ def test_approximate_periodic_hundred_cycle():
     sampled, checked, all_ok = scan_components(sys, approx.tau_prime, F(1, 2), masks)
     assert checked == 10_000 and all_ok
     assert all(s <= w for s, w in zip(sampled, cert.worst_observed))
+
+
+def test_theorem_mode_builds_s_prime_once_through_the_public_name(monkeypatch):
+    # Tools that wrap approx.build_s_prime (a tracer counting the components
+    # its certificate checks) see every theorem-mode S' exactly once.
+    calls = []
+    real = approx_mod.build_s_prime
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(approx_mod, "build_s_prime", counting)
+    for size in (66, 100):
+        assert approximate_periodic(single_cycle(size), F(1, 2)).period_bound == 9
+    assert calls == [9, 9]
 
 
 def test_approximate_periodic_rejections():

@@ -23,9 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cepskit import recurrence, system
 from cepskit.approx import (
+    PeriodicApproximation,
     _certify_distance,
-    _check_ts_prime_equals_t,
-    _extract_point_map,
     build_s_prime,
     s_prime_operator,
 )
@@ -175,7 +174,11 @@ def tau_primes(draw, sys: GroundSystem) -> tuple[int, ...]:
                   for i in range(0, len(cyc) - n + 1, n)]
         p = frozenset(x for x in spaced if draw(st.booleans()))
         if p:
-            return _extract_point_map(sys, sys.iterates(p, n))
+            # A force-admitted system may fail TS' = T; its tau' is the dense one.
+            approx = result_or_error(build_s_prime, sys, p, n)
+            if isinstance(approx, PeriodicApproximation):
+                return approx.tau_prime
+            return dense_point_map(sys, p, n)
     return tuple(draw(st.permutations(range(sys.size))))
 
 
@@ -451,19 +454,55 @@ def test_block_values_are_their_dense_expansion(sys, data):
 
 @SETTINGS
 @given(systems, st.data())
-def test_point_map_is_operator_sum_on_indicators(sys, data):
-    p = frozenset(data.draw(subsets(sys.size)))
-    n = data.draw(st.integers(1, sys.size + 1))
-    assert outcome(_extract_point_map, sys, sys.iterates(p, n)) \
-        == outcome(dense_point_map, sys, p, n)
+def test_tau_prime_is_operator_sum_on_indicators(sys, data):
+    """build_s_prime's tau' is S' applied to every coordinate indicator when
+    the iterates are disjoint (or its refusal is the dense TS' = T refusal),
+    and both refuse when they are not."""
+    p = frozenset(data.draw(st.sets(st.integers(0, sys.size - 1), min_size=1)))
+    n = data.draw(st.integers(2, sys.size + 1))
+    levels = sys.iterates(p, n)
+    result = result_or_error(build_s_prime, sys, p, n)
+    dense = outcome(dense_point_map, sys, p, n)
+    if sum(map(len, levels)) == len(frozenset().union(*levels)):
+        refusal = outcome(dense_ts_prime_equals_t, sys, dense)
+        if refusal is None:
+            assert result.tau_prime == dense
+        else:
+            assert result == refusal
+    else:
+        assert result[0] is DomainError and dense[0] is TheoremViolation
+
+
+@st.composite
+def weight_changed_bases(draw):
+    """A generated system, force-admitted with one weight changed or left
+    valid, and a base of points n apart on its cycles of length >= n."""
+    sys = draw(generated_systems())
+    raw = sys.as_dict()
+    changed = draw(st.booleans())
+    if changed:
+        i = draw(st.integers(0, sys.size - 1))
+        raw["weights"][i] = f"{draw(st.integers(1, 9))}/{draw(st.integers(1, 9))}"
+    sys = validate_ceps(raw).system
+    longest = max(len(c) for c in sys.cycles)
+    assume(longest >= 2)
+    n = draw(st.integers(2, longest))
+    spaced = [cyc[i] for cyc in sys.cycles if len(cyc) >= n
+              for i in range(0, len(cyc) - n + 1, n)]
+    p = frozenset(draw(st.sets(st.sampled_from(spaced), min_size=1)))
+    return sys, p, n, changed
 
 
 @SETTINGS
-@given(systems, st.data())
-def test_ts_prime_check_is_dense_loop(sys, data):
-    tau_prime = tuple(data.draw(st.permutations(range(sys.size))))
-    assert outcome(_check_ts_prime_equals_t, sys, tau_prime) \
-        == outcome(dense_ts_prime_equals_t, sys, tau_prime)
+@given(weight_changed_bases())
+def test_ts_prime_refusal_names_the_dense_first_m(case):
+    sys, p, n, changed = case
+    result = outcome(build_s_prime, sys, p, n)
+    expected = outcome(dense_ts_prime_equals_t, sys, dense_point_map(sys, p, n))
+    if expected is None:
+        assert isinstance(result, PeriodicApproximation)
+    else:
+        assert changed and result == expected
 
 
 @SETTINGS
