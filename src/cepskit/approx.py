@@ -225,27 +225,24 @@ def _certify_distance(
     Per block b the supremum is (sum of w_x over x in b with tau x != tau' x,
     minus the lightest w_x of each odd sigma-cycle of length >= 3 whose
     edges all lie in b) / mass_b, where the edge of x starts at tau x. The
-    sums are over the integer ``scaled_weights``; eps is compared by
-    cross-multiplication, and the value per block becomes a Fraction only
-    on the way out.
+    sigma-cycles come from ``permutation_cycles`` of x -> tau^{-1} tau' x:
+    each of its cycles is the set of x whose edges form one sigma-cycle,
+    and its fixed points are the x with tau x = tau' x, which carry no
+    edge. The sums are over the integer ``scaled_weights``; eps is compared
+    by cross-multiplication, and the value per block becomes a Fraction
+    only on the way out.
     """
     weight, mass = sys.scaled_weights
-    tau, inverse, block_of = sys.tau, sys.tau_inverse, sys.block_of
+    inverse, block_of = sys.tau_inverse, sys.block_of
     cut = [0] * len(sys.blocks)
     edges = 0
-    for x in range(sys.size):
-        if tau[x] != tau_prime[x]:
+    for terms in permutation_cycles([inverse[m] for m in tau_prime]):
+        if len(terms) < 2:
+            continue
+        edges += len(terms)
+        for x in terms:
             cut[block_of[x]] += weight[x]
-            edges += 1
-    seen = bytearray(sys.size)
-    for start in range(sys.size):
-        terms = []  # the x whose edges tau x -> tau' x form the sigma-cycle of start
-        y = start
-        while not seen[y]:
-            seen[y] = 1
-            terms.append(inverse[y])
-            y = tau_prime[terms[-1]]
-        if len(terms) >= 3 and len(terms) % 2:
+        if len(terms) % 2:
             blocks = {block_of[x] for x in terms}
             if len(blocks) == 1:
                 cut[blocks.pop()] -= min(weight[x] for x in terms)

@@ -459,8 +459,8 @@ def main(argv=None) -> int:
     try:
         args = _cached_parser().parse_args(argv)
         code, report = _run(args)
-        # A generated system is itself gen's --out file (already written).
-        _emit(report, None if args.command == "gen" and code == 0 else args.out)
+        # gen's --out is the system file, which only ``save`` writes.
+        _emit(report, None if args.command == "gen" else args.out)
         return code
     except CepsError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -20,27 +20,16 @@ from .system import GroundSystem
 def single_cycle(m: int, weights=None) -> GroundSystem:
     """The cyclic shift on {0,...,m-1}: tau(i) = i+1 mod m, one block.
 
-    Conditionally ergodic by construction. Weights default to 1/m each;
-    a caller-supplied weight must be constant along the cycle, since
-    tau-invariance of the weights forces that.
+    Conditionally ergodic by construction. ``weights`` is one rational (an
+    int, Fraction or string) put on every point, since tau-invariance of
+    the weights forces them equal along the cycle; it defaults to 1/m.
     """
     if m < 1:
         raise DomainError(f"cycle length must be >= 1, got {m}")
-    if weights is None:
-        ws = (Fraction(1, m),) * m
-    else:
-        if isinstance(weights, (Fraction, int, str)):
-            weights = [weights] * m
-        ws = tuple(as_rational(w) for w in weights)
-        if len(ws) != m:
-            raise DomainError(f"expected {m} weights, got {len(ws)}")
-        if len(set(ws)) > 1:
-            raise DomainError(
-                f"weights on a cycle must be equal (mu o tau = mu), got {ws}"
-            )
+    w = Fraction(1, m) if weights is None else as_rational(weights)
     return GroundSystem(
         size=m,
-        weights=ws,
+        weights=(w,) * m,
         blocks=(frozenset(range(m)),),
         tau=tuple((i + 1) % m for i in range(m)),
     )

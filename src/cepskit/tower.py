@@ -97,9 +97,10 @@ class Tower:
         for i, level in enumerate(self.levels):
             if level != sys.component_image(i, self.base):
                 problems.append(f"level-{i}-not-koopman-image")
-        if sum(len(l) for l in self.levels) != len(self.covered()):
+        covered = self.covered()
+        if sum(len(l) for l in self.levels) != len(covered):
             problems.append("levels-not-disjoint")
-        if self.residual != sys.ground_set() - self.covered():
+        if self.residual != sys.ground_set() - covered:
             problems.append("residual-mismatch")
         for cert in (self.bound_certificate, *self.extra_certificates):
             if not cert.holds:

@@ -94,6 +94,27 @@ def test_gen_product_and_truncated(tmp_path, capsys):
     assert code == 0 and json.loads(out.read_text())["size"] == 10
 
 
+def test_gen_swap(capsys):
+    code, report = run(capsys, "gen", "--kind", "swap")
+    assert code == 0 and report["system"] == swap_example().as_dict()
+
+
+@pytest.mark.parametrize("bad", [["--kind", "cycle", "--m", "0"],
+                                 ["--kind", "random", "--num-blocks", "3:1"]],
+                         ids=["m-zero", "num-blocks-reversed"])
+def test_refused_gen_leaves_its_out_file(tmp_path, capsys, bad):
+    # gen's --out is the system file: a refusal reports on stdout only.
+    out = tmp_path / "sys.json"
+    assert main(["gen", "--kind", "cycle", "--m", "3", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    code = main(["gen", *bad, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["outcome"] == "rejected"
+    assert out.read_bytes() == before
+
+
 def test_decompose_report_shape(tmp_path, capsys):
     path = tmp_path / "c5.json"
     save(single_cycle(5), path)
@@ -421,6 +442,24 @@ def test_out_of_range_arguments_are_exit_3(swap_file, tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["gen", "--kind", "cycle"], "gen --kind cycle needs --m"),
+    (["gen", "--kind", "product"], "gen --kind product needs --cycles or --truncated"),
+    (["approx", "--system", "{c12}", "--manual", "--n", "2"],
+     "approx --manual needs --p and --n"),
+    (["approx", "--system", "{c12}", "--manual", "--p", "0"],
+     "approx --manual needs --p and --n"),
+    (["approx", "--system", "{c12}"], "approx needs --eps (or --manual)"),
+], ids=["gen-cycle-m", "gen-product", "approx-manual-p", "approx-manual-n",
+        "approx-eps"])
+def test_missing_option_is_exit_3(tmp_path, capsys, argv, error):
+    c12 = tmp_path / "c12.json"
+    save(single_cycle(12), c12)
+    code = main([arg.format(c12=c12) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {error}\n")
+
+
 def test_cli_load_reads_once_and_validates_once(tmp_path, capsys, monkeypatch):
     n = 9
     path = tmp_path / "c9.json"
@@ -696,10 +735,9 @@ _VIOLATING = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0], [1]],
     ["kac", "--system", "{violating}", "--p", "0", "--out", "{missing}/x.json"],
     ["tower-eps", "--system", "{c12}", "--n", "2", "--eps", "1/100",
      "--out", "{missing}/x.json"],
-    ["gen", "--kind", "cycle", "--m", "0", "--out", "{missing}/x.json"],
 ], ids=["kac-out", "tower-csv", "tower-eps-csv", "approx-csv", "gen-out",
         "validate-out", "out-is-a-directory", "exit-1-out", "exit-1-csv",
-        "exit-2-invalid-out", "exit-2-rejected-out", "gen-exit-2-out"])
+        "exit-2-invalid-out", "exit-2-rejected-out"])
 def test_unwritable_output_is_exit_3(tmp_path, capsys, argv):
     c12, violating = tmp_path / "c12.json", tmp_path / "violating.json"
     save(single_cycle(12), c12)

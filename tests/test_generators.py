@@ -32,6 +32,13 @@ def test_single_cycle_weight_rules():
         single_cycle(0)
 
 
+def test_single_cycle_takes_one_weight():
+    assert single_cycle(4, "1/3").weights == (Fraction(1, 3),) * 4
+    # A list of weights is refused even when its entries are equal.
+    with pytest.raises(DomainError, match="^not a rational: "):
+        single_cycle(3, [Fraction(1, 3)] * 3)
+
+
 def test_swap_example_is_two_cycle():
     swap = swap_example()
     assert swap == single_cycle(2)

@@ -256,6 +256,7 @@ def dense_ts_prime_equals_t(sys: GroundSystem, tau_prime) -> None:
 def fraction_scan(sys: GroundSystem, tau_prime, eps, masks):
     """The distance scan with per-block Fraction sums."""
     diff_points = [x for x in range(sys.size) if sys.tau[x] != tau_prime[x]]
+    mass = [sum((sys.weights[i] for i in block), Fraction(0)) for block in sys.blocks]
     n_blocks = len(sys.blocks)
     worst = [Fraction(0)] * n_blocks
     all_ok = True
@@ -267,7 +268,7 @@ def fraction_scan(sys: GroundSystem, tau_prime, eps, masks):
             if (mask >> sys.tau[x] & 1) != (mask >> tau_prime[x] & 1):
                 acc[sys.block_of[x]] += sys.weights[x]
         for b in range(n_blocks):
-            value = acc[b] / sys.block_mass[b]
+            value = acc[b] / mass[b]
             if value > worst[b]:
                 worst[b] = value
             if value > eps:

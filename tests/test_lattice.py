@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cepskit.errors import DimensionError, DomainError
 from cepskit.lattice import (
+    LatticeElement,
     band_project,
     elem,
     indicator,
@@ -88,6 +89,12 @@ def test_indicator_bounds():
 def test_no_floats_allowed():
     with pytest.raises(DomainError):
         elem([0.5, 1])
+
+
+def test_entries_must_be_exact_fractions():
+    # The constructor's own check: an int entry is not read as a Fraction.
+    with pytest.raises(DomainError, match="^lattice element entries must be exact"):
+        LatticeElement((1,))
 
 
 @given(element_pairs())

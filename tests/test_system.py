@@ -71,7 +71,10 @@ def test_validate_itemizes_malformed_pieces():
      "weights-strictly-positive", 1),
     ({"size": 3, "weights": ["1", "1", "1"], "blocks": [[0, 1]], "tau": [1, 0, 2]},
      "blocks-partition", 2),
-], ids=["tau", "weight", "gap"])
+    ({"size": 3, "weights": ["1", "1", "1"], "blocks": [[0, 1], [1, 2]],
+      "tau": [1, 0, 2]},
+     "blocks-partition", [1]),
+], ids=["tau", "weight", "gap", "overlap"])
 def test_malformed_pieces_are_validated_once(monkeypatch, raw, failed, witness):
     calls = []
     real = system.validate_parts
@@ -90,6 +93,14 @@ def test_malformed_pieces_are_validated_once(monkeypatch, raw, failed, witness):
                        match=f"^invalid system: failed checks: {failed}$") as info:
         GroundSystem(*system._parse_parts(raw), check_axioms=False)
     assert info.value.report.checks == report.checks
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_nonpositive_size_fails_size_positive(size):
+    raw = {"size": size, "weights": [], "blocks": [], "tau": []}
+    assert validate_ceps(raw).checks == (Check("size-positive", False, size),)
+    with pytest.raises(InvalidSystem):
+        GroundSystem(size, (), (), (), check_axioms=False)
 
 
 def test_validate_never_raises_on_garbage():
