@@ -38,7 +38,8 @@ from math import floor
 from typing import ClassVar, Iterable
 
 from .errors import DomainError, TheoremViolation
-from .lattice import BlockValues, Component, LatticeElement, as_component, band_project
+from .lattice import (BlockValues, Component, LatticeElement, _element, as_component,
+                      band_project)
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -115,7 +116,7 @@ def s_prime_apply(approx: PeriodicApproximation, f: LatticeElement) -> LatticeEl
         raise DomainError(
             f"element of length {len(f)} under a map on {len(approx.tau_prime)} points"
         )
-    return LatticeElement(tuple(f[approx.tau_prime[x]] for x in range(len(f))))
+    return _element(tuple(map(f.values.__getitem__, approx.tau_prime)))
 
 
 def build_s_prime(

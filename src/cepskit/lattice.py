@@ -11,6 +11,11 @@ can be held as a ``BlockValues``: one value per block, compared block by
 block and expanded to the dense tuple only when that is asked for.
 
 Everything here is an immutable value; every operation returns a new one.
+The public constructor and ``elem`` check that every entry is a Fraction.
+Results of arithmetic, lattice operations, band projections and
+indicators are built unchecked by the private ``_element``: their entries
+are Fraction sums, products, negations, absolute values, mins and maxes,
+or entries copied from checked elements.
 """
 
 from __future__ import annotations
@@ -60,45 +65,42 @@ class LatticeElement:
 
     # vector-space structure
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
+        """The pointwise sum; x + 0 and 0 + x are x itself, without an addition."""
         self._check_same_length(other)
-        return LatticeElement(tuple(a + b for a, b in zip(self.values, other.values)))
+        return _element(tuple(a + b if a and b else a or b
+                              for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
         self._check_same_length(other)
-        return LatticeElement(tuple(a - b for a, b in zip(self.values, other.values)))
+        return _element(tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __neg__(self) -> "LatticeElement":
-        return LatticeElement(tuple(-a for a in self.values))
+        return _element(tuple(-a for a in self.values))
 
     def __mul__(self, other) -> "LatticeElement":
         """Scalar multiple, or the pointwise product with another element."""
         if isinstance(other, LatticeElement):
             self._check_same_length(other)
-            return LatticeElement(
-                tuple(a * b for a, b in zip(self.values, other.values))
-            )
-        return LatticeElement(tuple(a * as_rational(other) for a in self.values))
+            return _element(tuple(a * b for a, b in zip(self.values, other.values)))
+        c = as_rational(other)
+        return _element(tuple(a * c for a in self.values))
 
     __rmul__ = __mul__
 
     # lattice structure
     def meet(self, other: "LatticeElement") -> "LatticeElement":
         self._check_same_length(other)
-        return LatticeElement(
-            tuple(min(a, b) for a, b in zip(self.values, other.values))
-        )
+        return _element(tuple(map(min, self.values, other.values)))
 
     def join(self, other: "LatticeElement") -> "LatticeElement":
         self._check_same_length(other)
-        return LatticeElement(
-            tuple(max(a, b) for a, b in zip(self.values, other.values))
-        )
+        return _element(tuple(map(max, self.values, other.values)))
 
     def pos_part(self) -> "LatticeElement":
-        return LatticeElement(tuple(max(a, ZERO) for a in self.values))
+        return _element(tuple(max(a, ZERO) for a in self.values))
 
     def __abs__(self) -> "LatticeElement":
-        return LatticeElement(tuple(abs(a) for a in self.values))
+        return _element(tuple(map(abs, self.values)))
 
     def __le__(self, other: "LatticeElement") -> bool:
         self._check_same_length(other)
@@ -125,6 +127,13 @@ class LatticeElement:
 
     def __repr__(self) -> str:
         return "(" + ", ".join(self.formatted()) + ")"
+
+
+def _element(values: tuple[Fraction, ...]) -> LatticeElement:
+    """A LatticeElement without the entry check, for entries that are Fractions."""
+    f = object.__new__(LatticeElement)
+    object.__setattr__(f, "values", values)
+    return f
 
 
 class BlockValues(LatticeElement):
@@ -193,7 +202,10 @@ def indicator(n: int, members: Iterable[int]) -> LatticeElement:
     bad = [i for i in members if not 0 <= i < n]
     if bad:
         raise DimensionError(f"component members {bad} outside ground set of size {n}")
-    return LatticeElement(tuple(ONE if i in members else ZERO for i in range(n)))
+    values = [ZERO] * n
+    for i in members:
+        values[i] = ONE
+    return _element(tuple(values))
 
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
@@ -218,9 +230,10 @@ def band_project(u: Iterable[int], f: LatticeElement) -> LatticeElement:
     bad = [i for i in u if not 0 <= i < len(f)]
     if bad:
         raise DimensionError(f"band {bad} outside ground set of size {len(f)}")
-    return LatticeElement(
-        tuple(a if i in u else ZERO for i, a in enumerate(f.values))
-    )
+    values, entries = [ZERO] * len(f), f.values
+    for i in u:
+        values[i] = entries[i]
+    return _element(tuple(values))
 
 
 def support_component(f: LatticeElement) -> Component:

@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
 from .jsontext import dumps_indented
-from .lattice import (ZERO, BlockValues, Component, LatticeElement, as_component,
-                      indicator, jsonable, ones)
+from .lattice import (ZERO, BlockValues, Component, LatticeElement, _element,
+                      as_component, indicator, jsonable, ones)
 from .rationals import as_rational, format_rational
 
 
@@ -277,7 +277,10 @@ class GroundSystem:
     def koopman(self, j: int, f: LatticeElement) -> LatticeElement:
         """S^j f, i.e. f o tau^j; j may be any integer since tau is a bijection."""
         self._check_element(f)
-        return LatticeElement(tuple(f[self.tau_power(j, i)] for i in range(self.size)))
+        if j == 1 or j == -1:
+            points = self.tau if j == 1 else self.tau_inverse
+            return _element(tuple(map(f.values.__getitem__, points)))
+        return _element(tuple(f[self.tau_power(j, i)] for i in range(self.size)))
 
     def component_image(self, j: int, p: Iterable[int]) -> Component:
         """S^j on the indicator of p, as a set: tau^{-j}(p) = {x : tau^j(x) in p}."""

@@ -6,7 +6,8 @@ the exhaustive scan of the conditional distance over all 2^N components
 (itself checked against a Fraction scan), the lattice formula for q(p,k),
 the forward-image sweep for recurrence, stepwise images for the iterates
 S^i p, the pairwise scan for the disjointness witnesses, the suffix-union
-formula for the tower base, and dense T of indicators for every
+formula for the tower base, stepwise S^j and the per-point reads that the
+table-driven point maps replaced, and dense T of indicators for every
 certificate side. The sides are held one value per block
 (``BlockValues``): their dense ``values``, their ``holds`` and the Kac
 flag must equal the dense formulas and comparisons they replaced.
@@ -26,15 +27,17 @@ from cepskit.approx import (
     PeriodicApproximation,
     _certify_distance,
     build_s_prime,
+    s_prime_apply,
     s_prime_operator,
 )
 from cepskit.errors import (CepsError, DomainError, NotConditionallyErgodic,
                             TheoremViolation)
 from cepskit.generators import RandomSpec, random_system, single_cycle
-from cepskit.lattice import BlockValues, LatticeElement, band_project, elem
+from cepskit.lattice import BlockValues, LatticeElement, band_project, elem, indicator
 from cepskit.oracles import (
     block_average,
     brute_component_image,
+    brute_koopman,
     first_return_sets,
     forward_image_union,
     scan_components,
@@ -805,3 +808,30 @@ def test_approx_majorant_is_dense_t(sys, data):
     majorant = 2 * dense_t(sys, p) + 2 * dense_t(sys, complement)
     assert result.certificate.majorant.lhs == majorant
     assert result.eps == max(majorant)
+
+
+@SETTINGS
+@given(st.one_of(non_ergodic_multi_block(), generated_systems()), st.data())
+def test_point_maps_are_stepwise_and_per_point_reads(sys, data):
+    """S^j off tau, tau^{-1} or tau_power against stepwise composition; S'
+    off tau' against f(tau'x) point by point; P_u and the indicator of u
+    against the comprehensions they replaced."""
+    f = LatticeElement(tuple(data.draw(st.lists(
+        st.fractions(max_denominator=9), min_size=sys.size, max_size=sys.size))))
+    span = 2 * sys.size
+    for j in (1, -1, data.draw(st.integers(-span, span))):
+        assert sys.koopman(j, f) == brute_koopman(sys, j, f)
+    n = data.draw(st.integers(2, max(2, max(map(len, sys.cycles)))))
+    spaced = [cyc[i] for cyc in sys.cycles if len(cyc) >= n
+              for i in range(0, len(cyc) - n + 1, n)]
+    p = frozenset(x for x in spaced if data.draw(st.booleans()))
+    if p:
+        approx = build_s_prime(sys, p, n)
+        assert s_prime_apply(approx, f) == LatticeElement(
+            tuple(f[approx.tau_prime[x]] for x in range(sys.size)))
+    u = data.draw(components(sys))
+    zero, one = Fraction(0), Fraction(1)
+    assert band_project(u, f) == LatticeElement(
+        tuple(a if i in u else zero for i, a in enumerate(f.values)))
+    assert indicator(sys.size, u) == LatticeElement(
+        tuple(one if i in u else zero for i in range(sys.size)))

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,75 @@ def test_entries_must_be_exact_fractions():
     # The constructor's own check: an int entry is not read as a Fraction.
     with pytest.raises(DomainError, match="^lattice element entries must be exact"):
         LatticeElement((1,))
+
+
+def test_checks_before_unchecked_results():
+    """Results are built without the entry check, so the checks before them
+    must hold: a list fill would read index -1 as the last point, a float or
+    bool scalar would leave non-Fraction entries, and the public constructor
+    checks every entry, not only the first."""
+    with pytest.raises(DomainError, match="^lattice element entries must be exact"):
+        LatticeElement((Fraction(1), 1))
+    f = elem([1, "1/2"])
+    with pytest.raises(DimensionError):
+        band_project([-1], f)
+    with pytest.raises(DimensionError):
+        indicator(2, [-1])
+    with pytest.raises(DomainError):
+        f * 0.5
+    with pytest.raises(DomainError):
+        f * True
+
+
+@st.composite
+def zero_heavy_pairs(draw):
+    """Pairs of length 1-40 with at least half their entries 0: drawn
+    independently, on disjoint supports, or g = -f."""
+    n = draw(st.integers(min_value=1, max_value=40))
+
+    def sparse(points):
+        values = [Fraction(0)] * n
+        for i in draw(st.sets(st.sampled_from(points), max_size=n // 2)):
+            values[i] = draw(rationals)
+        return values
+
+    f = sparse(range(n))
+    kind = draw(st.sampled_from(["independent", "disjoint", "negated"]))
+    if kind == "negated":
+        g = [-a for a in f]
+    elif kind == "disjoint" and any(a == 0 for a in f):
+        g = sparse([i for i, a in enumerate(f) if a == 0])
+    else:
+        g = sparse(range(n))
+    return LatticeElement(tuple(f)), LatticeElement(tuple(g))
+
+
+@given(zero_heavy_pairs(), rationals)
+def test_unchecked_results_are_the_checked_computation(pair, c):
+    """Each operation equals its entrywise Fraction computation built through
+    the public constructor, and every entry is a Fraction."""
+    f, g = pair
+    cases = [
+        (f + g, map(operator.add, f, g)),
+        (f - g, map(operator.sub, f, g)),
+        (-f, map(operator.neg, f)),
+        (f * g, map(operator.mul, f, g)),
+        (f * c, (a * c for a in f)),
+        (c * f, (c * a for a in f)),
+        (meet(f, g), map(min, f, g)),
+        (join(f, g), map(max, f, g)),
+        (pos_part(f), (max(a, Fraction(0)) for a in f)),
+        (abs(f), map(abs, f)),
+    ]
+    for result, entries in cases:
+        assert result == LatticeElement(tuple(entries))
+        assert all(type(v) is Fraction for v in result)
+    # x + 0 is x: where one side is 0, the sum holds the other side's entry.
+    for s, a, b in zip(f + g, f, g):
+        if not a:
+            assert s is b
+        elif not b:
+            assert s is a
 
 
 @given(element_pairs())
