@@ -45,7 +45,7 @@ from .lattice import (
     support_component,
     zeros,
 )
-from .rationals import Rational, as_rational, format_rational
+from .rationals import as_rational, format_rational
 from .recurrence import (
     ReturnDecomposition,
     check_recurrent,

@@ -8,7 +8,7 @@ for those).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -81,12 +81,7 @@ def with_single_block(sys: GroundSystem) -> GroundSystem:
     Valid whenever the input is valid (the union of tau-invariant blocks is
     tau-invariant); not conditionally ergodic as soon as tau has >= 2 cycles.
     """
-    return GroundSystem(
-        size=sys.size,
-        weights=sys.weights,
-        blocks=(frozenset(range(sys.size)),),
-        tau=sys.tau,
-    )
+    return replace(sys, blocks=(range(sys.size),))
 
 
 @dataclass(frozen=True)

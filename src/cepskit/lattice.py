@@ -208,20 +208,10 @@ def indicator(n: int, members: Iterable[int]) -> LatticeElement:
     return _element(tuple(values))
 
 
-def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    return f.meet(g)
-
-
-def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    return f.join(g)
-
-
-def pos_part(f: LatticeElement) -> LatticeElement:
-    return f.pos_part()
-
-
-def is_component(f: LatticeElement) -> bool:
-    return f.is_component()
+meet = LatticeElement.meet
+join = LatticeElement.join
+pos_part = LatticeElement.pos_part
+is_component = LatticeElement.is_component
 
 
 def band_project(u: Iterable[int], f: LatticeElement) -> LatticeElement:

@@ -29,11 +29,15 @@ from .lattice import Component, LatticeElement, as_component
 from .system import GroundSystem
 
 
-def first_return_times(sys: GroundSystem, p: Iterable[int]) -> dict[int, int]:
-    """For each x in p, the first k >= 1 with tau^{-k}(x) in p, by walking."""
+def first_return_sets(sys: GroundSystem, p: Iterable[int]) -> dict[int, Component]:
+    """The trajectory-simulation first-return decomposition of p.
+
+    Each x in p goes to the set of the first k >= 1 with tau^{-k}(x) in p,
+    found by walking.
+    """
     p = as_component(p)
     inv = sys.tau_inverse
-    times: dict[int, int] = {}
+    sets: dict[int, set[int]] = {}
     for x in p:
         y = inv[x]
         k = 1
@@ -42,14 +46,6 @@ def first_return_times(sys: GroundSystem, p: Iterable[int]) -> dict[int, int]:
             k += 1
             if k > sys.size:  # unreachable for a bijection; guards the walk
                 raise AssertionError("first-return walk failed to terminate")
-        times[x] = k
-    return times
-
-
-def first_return_sets(sys: GroundSystem, p: Iterable[int]) -> dict[int, Component]:
-    """The trajectory-simulation first-return decomposition of p."""
-    sets: dict[int, set[int]] = {}
-    for x, k in first_return_times(sys, p).items():
         sets.setdefault(k, set()).add(x)
     return {k: frozenset(v) for k, v in sorted(sets.items())}
 

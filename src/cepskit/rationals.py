@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
 RationalLike = Fraction | int | str
 
 

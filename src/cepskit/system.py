@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, InitVar
+from dataclasses import dataclass, field, InitVar, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -111,7 +111,7 @@ class GroundSystem:
     the escape hatch the loader uses for counterexample demos. Either way
     ``structure`` keeps the full ``validate_parts`` report (a refusal's
     InvalidSystem carries it too), and derived facts (cycles, the
-    ergodicity defect) are computed once and cached.
+    ergodicity defect, the orbit refinement) are computed once and cached.
     """
 
     size: int
@@ -197,7 +197,7 @@ class GroundSystem:
     def component(self, indices: Iterable[int]) -> Component:
         """indices as a component of e; DimensionError for a member off Omega."""
         c = as_component(indices)
-        bad = [i for i in c if not (isinstance(i, int) and 0 <= i < self.size)]
+        bad = [i for i in c if not (type(i) is int and 0 <= i < self.size)]
         if bad:
             raise DimensionError(
                 f"component members {bad} outside ground set of size {self.size}"
@@ -328,43 +328,35 @@ class GroundSystem:
         return LatticeElement(tuple(t / n for t in totals))
 
     @cached_property
-    def _ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
+    def ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
+        """The first block that is not one whole tau-cycle, with the cycles it
+        meets; None iff L_S = T. Built once per system, on first read."""
         for block in self.blocks:
             pieces = sorted({self.cycle_of[i] for i in block})
             if len(pieces) > 1 or len(self.cycles[pieces[0]]) != len(block):
                 return block, tuple(frozenset(self.cycles[c]) for c in pieces)
         return None
 
-    def ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
-        """The first block that is not one whole tau-cycle, with the cycles it
-        meets; None iff L_S = T. Computed once per system."""
-        return self._ergodic_defect
-
     def is_conditionally_ergodic(self) -> bool:
         """True iff L_S = T, i.e. every block is a single tau-orbit."""
-        return self.ergodic_defect() is None
+        return self.ergodic_defect is None
 
     def require_conditionally_ergodic(self) -> None:
-        defect = self.ergodic_defect()
+        defect = self.ergodic_defect
         if defect is not None:
             raise NotConditionallyErgodic(*defect)
 
+    @cached_property
     def orbit_refinement(self) -> "GroundSystem":
         """Same (Omega, mu, tau) with blocks replaced by the tau-orbits.
 
-        The result is conditionally ergodic and its conditional expectation
-        is the L_S of this system. The axioms are not enforced: the
-        refinement of a valid system is valid anyway, and that of a
-        force-admitted one is admitted too, its ``structure`` report naming
-        a weight that breaks tau-invariance.
+        Built once per system, on first read. The result is conditionally
+        ergodic and its conditional expectation is the L_S of this system.
+        The axioms are not enforced: the refinement of a valid system is
+        valid anyway, and that of a force-admitted one is admitted too, its
+        ``structure`` report naming a weight that breaks tau-invariance.
         """
-        return GroundSystem(
-            size=self.size,
-            weights=self.weights,
-            blocks=tuple(frozenset(c) for c in self.cycles),
-            tau=self.tau,
-            check_axioms=False,
-        )
+        return replace(self, blocks=self.cycles, check_axioms=False)
 
     # -- helpers --
 
@@ -405,6 +397,10 @@ _WELLFORMED = frozenset(
 )
 
 
+# Block members and tau entries are ints, never bools or other int subclasses.
+_INT = frozenset([int])
+
+
 def validate_parts(size, weights, blocks, tau) -> ValidationReport:
     """Structural checks on already-parsed pieces; never raises."""
     checks: list[Check] = []
@@ -435,8 +431,12 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
     ok_blocks = len(blocks) > 0
     witness = None if ok_blocks else "no blocks"
     for block in blocks:
-        if not block or not all(isinstance(i, int) and 0 <= i < size for i in block):
-            ok_blocks, witness = False, sorted(block)
+        if not block or not all(type(i) is int and 0 <= i < size for i in block):
+            try:
+                witness = sorted(block)
+            except TypeError:  # members that do not compare, such as 0 and "a"
+                witness = sorted(map(repr, block))
+            ok_blocks = False
             break
         if covered & set(block):
             ok_blocks, witness = False, sorted(covered & set(block))
@@ -447,7 +447,8 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
         ok_blocks, witness = False, next(i for i in range(size) if i not in covered)
     checks.append(Check("blocks-partition", ok_blocks, witness))
 
-    ok_tau = len(tau) == size and sorted(tau) == list(range(size))
+    ok_tau = (len(tau) == size and set(map(type, tau)) <= _INT
+              and sorted(tau) == list(range(size)))
     checks.append(
         Check("tau-permutation", ok_tau, None if ok_tau else list(tau))
     )
@@ -523,13 +524,6 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     return ValidationReport(tuple(checks), sys)
 
 
-def _index(value) -> int:
-    """A block member or tau entry: a JSON integer, never a bool, float or string."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(value)
-
-
 def _array(value) -> list:
     """weights, blocks, a block or tau: a JSON array, never a string or object."""
     if isinstance(value, list):
@@ -537,19 +531,16 @@ def _array(value) -> list:
     raise ValueError(value)
 
 
-_INT = frozenset([int])
-
-
 def _indices(value) -> list[int]:
     """A block or tau: a JSON array of integers, checked with one type test.
 
-    Only an array that fails it goes through ``_index`` entry by entry, to
-    raise on the same first offending value.
+    An array that fails it raises ValueError on its first entry that is not
+    an int: a bool, a float, a string, null, an array or an object.
     """
     value = _array(value)
     if set(map(type, value)) <= _INT:
         return value
-    return [_index(i) for i in value]
+    raise ValueError(next(i for i in value if type(i) is not int))
 
 
 def _parse_weights(raw) -> tuple[Fraction, ...]:

@@ -372,4 +372,4 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         raise InvalidSystem(ValidationReport(
             (Check("weights-tau-invariant", False, broken),)))
     cycles = [cyc for cyc in sys.cycles if cyc[0] in v]
-    return _eps_tower(sys.orbit_refinement(), n, eps, cycles, "ls-residual-mass-bound")
+    return _eps_tower(sys.orbit_refinement, n, eps, cycles, "ls-residual-mass-bound")

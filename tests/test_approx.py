@@ -146,6 +146,13 @@ def test_build_s_prime_rejections():
         build_s_prime(sys, [7], 3)
 
 
+def test_s_prime_apply_refuses_an_element_of_the_wrong_length():
+    _, approx = seven_fixture()
+    with pytest.raises(DomainError,
+                       match=r"^element of length 3 under a map on 7 points$"):
+        s_prime_apply(approx, elem([1, 0, 0]))
+
+
 def test_build_s_prime_refuses_period_above_size_before_any_level(monkeypatch):
     # The levels come from GroundSystem.iterates: none may be built first.
     levels_built = []

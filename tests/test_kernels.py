@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import floor
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from cepskit import recurrence, system
 from cepskit.approx import (
@@ -63,7 +63,10 @@ from cepskit.tower import (
     proof_chain_identity,
 )
 
-SETTINGS = settings(max_examples=150, deadline=None)
+# Without the explain phase, which only annotates a failure already found:
+# a failing property is reported without a slow extra pass over its example.
+PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
+SETTINGS = settings(max_examples=150, deadline=None, phases=PHASES)
 
 
 @st.composite
@@ -519,7 +522,7 @@ def test_integer_scan_is_fraction_scan(sys, data):
         == fraction_scan(sys, tau_prime, eps, masks)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=PHASES)
 @given(small_systems(), st.data())
 def test_distance_closed_form_is_exhaustive_scan(sys, data):
     tau_prime = data.draw(tau_primes(sys))
@@ -653,15 +656,30 @@ def test_ergodicity_is_one_fact(sys):
     """Ergodic iff no defect iff every block is one tau-cycle; computed once."""
     cycles = [frozenset(c) for c in permutation_cycles(sys.tau)]
     whole = [block in cycles for block in sys.blocks]
-    defect = sys.ergodic_defect()
+    defect = sys.ergodic_defect
     assert sys.is_conditionally_ergodic() == (defect is None) == all(whole)
-    assert sys.ergodic_defect() is defect
+    assert sys.ergodic_defect is defect
     if defect is not None:
         block, orbits = defect
         assert block == sys.blocks[whole.index(False)]
         assert set(orbits) == {c for c in cycles if c & block}
         error = NotConditionallyErgodic(*defect)
         assert ("splits into" in str(error)) == (len(orbits) > 1)
+
+
+@SETTINGS
+@given(st.one_of(non_ergodic_multi_block(), systems))
+def test_orbit_refinement_is_built_once(sys):
+    """The cached refinement is the system the constructor builds on the
+    cycles, with the same structure report, forced systems included."""
+    refined = sys.orbit_refinement
+    assert sys.orbit_refinement is refined
+    rebuilt = GroundSystem(sys.size, sys.weights, sys.cycles, sys.tau,
+                           check_axioms=False)
+    assert refined == rebuilt
+    assert refined.structure == rebuilt.structure
+    assert refined.is_conditionally_ergodic()
+    assert sys.ergodic_defect is sys.ergodic_defect
 
 
 @SETTINGS

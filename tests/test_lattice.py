@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cepskit.errors import DimensionError, DomainError
 from cepskit.lattice import (
+    BlockValues,
     LatticeElement,
     band_project,
     elem,
@@ -205,3 +206,9 @@ def test_support_is_smallest_carrier(n, data):
     assert band_project(c, f) == f
     for i in sorted(c):
         assert band_project(c - {i}, f) != f
+
+
+def test_block_values_entries_must_be_fractions():
+    with pytest.raises(DomainError,
+                       match=r"^lattice element entries must be exact Fractions$"):
+        BlockValues((Fraction(1), 1), (0, 1, 1))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from enum import IntEnum
 from math import lcm
 
 import pytest
@@ -18,7 +19,9 @@ from cepskit.generators import (
 from cepskit.lattice import elem, ones
 from cepskit.oracles import block_average, brute_component_image, brute_koopman
 from cepskit.rationals import as_rational, format_rational
-from cepskit.system import Check, GroundSystem, from_raw, load, save, validate_ceps
+from cepskit.recurrence import return_decomposition
+from cepskit.system import (Check, GroundSystem, from_raw, load, save, validate_ceps,
+                            validate_parts)
 
 F = Fraction
 
@@ -139,6 +142,50 @@ def test_indices_must_be_json_integers(field, value, witness):
     (check,) = validate_ceps(raw).checks
     assert (check.name, check.passed) == ("parseable", False)
     assert check.witness == witness and type(check.witness) is type(witness)
+
+
+class Point(IntEnum):
+    ONE = 1
+
+
+def test_parser_refuses_int_subclasses():
+    raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]],
+           "tau": [Point.ONE, 0]}
+    assert validate_ceps(raw).checks == (Check("parseable", False, Point.ONE),)
+
+
+# Block members and tau entries are ints, as the parser reads them: pieces
+# that are not fail a well-formedness check and the constructor refuses
+# them. A block whose members do not sort is witnessed by their sorted reprs.
+@pytest.mark.parametrize("blocks, tau, failures", [
+    ([{0, "a"}], (1, 0), [("blocks-partition", ["'a'", "0"])]),
+    ([{0, 1}], (1, "a"), [("tau-permutation", [1, "a"])]),
+    ([{0, 1}], (1.0, 0.0), [("tau-permutation", [1.0, 0.0])]),
+    ([{False, True}], (True, False),
+     [("blocks-partition", [False, True]), ("tau-permutation", [True, False])]),
+    ([{0, Point.ONE}], (Point.ONE, 0),
+     [("blocks-partition", [0, Point.ONE]), ("tau-permutation", [Point.ONE, 0])]),
+], ids=["block-str", "tau-str", "tau-float", "bools", "int-subclass"])
+def test_library_indices_must_be_ints(blocks, tau, failures):
+    weights = (F(1, 2), F(1, 2))
+    report = validate_parts(2, weights, [frozenset(b) for b in blocks], tau)
+    failed = [(c.name, c.witness) for c in report.failures()]
+    assert failed == failures
+    assert [list(map(type, w)) for _, w in failed] \
+        == [list(map(type, w)) for _, w in failures]
+    json.dumps(report.as_dict())
+    with pytest.raises(InvalidSystem) as info:
+        GroundSystem(2, weights, blocks, tau, check_axioms=False)
+    assert info.value.report == report
+
+
+@pytest.mark.parametrize("call", [
+    lambda: single_cycle(3).component([True]),
+    lambda: return_decomposition(single_cycle(3), {True}),
+], ids=["component", "return-decomposition"])
+def test_component_members_must_be_ints(call):
+    with pytest.raises(DimensionError, match=r"members \[True\] outside"):
+        call()
 
 
 # Strings that parse, strings that do not (decimals, a zero denominator, a
@@ -390,6 +437,12 @@ def test_partial_cesaro_matches_exact_limit_at_lcm():
     assert sys.partial_cesaro_sum(f, n - 1) != sys.cesaro_mean(f)
 
 
+def test_partial_cesaro_sum_needs_a_positive_n():
+    swap = swap_example()
+    with pytest.raises(DomainError, match=r"^partial Cesaro sum needs n >= 1, got 0$"):
+        swap.partial_cesaro_sum(swap.unit, 0)
+
+
 def test_conditionally_ergodic_cases():
     assert swap_example().is_conditionally_ergodic()
     ident = GroundSystem(2, (F(1), F(1)), (frozenset([0, 1]),), (0, 1))
@@ -405,7 +458,7 @@ def test_conditionally_ergodic_cases():
 
 def test_ergodic_defect_names_split_block():
     merged = with_single_block(two_two_cycles())
-    block, orbits = merged.ergodic_defect()
+    block, orbits = merged.ergodic_defect
     assert block == frozenset(range(4))
     assert set(orbits) == {frozenset([0, 1]), frozenset([2, 3])}
     with pytest.raises(NotConditionallyErgodic):
@@ -414,16 +467,16 @@ def test_ergodic_defect_names_split_block():
 
 def test_orbit_refinement():
     merged = with_single_block(two_two_cycles())
-    refined = merged.orbit_refinement()
+    refined = merged.orbit_refinement
     assert refined.is_conditionally_ergodic()
     assert set(refined.blocks) == {frozenset([0, 1]), frozenset([2, 3])}
     f = elem([1, 0, 4, 0])
     assert refined.expectation(f) == merged.cesaro_mean(f)
     # conditionally ergodic input is a fixed point
-    assert swap_example().orbit_refinement() == swap_example()
+    assert swap_example().orbit_refinement == swap_example()
     ident = GroundSystem(2, (F(1), F(1)), (frozenset([0, 1]),), (0, 1),
                          check_axioms=False)
-    assert set(ident.orbit_refinement().blocks) == {frozenset([0]), frozenset([1])}
+    assert set(ident.orbit_refinement.blocks) == {frozenset([0]), frozenset([1])}
 
 
 def test_orbit_refinement_of_a_forced_system_is_admitted():
@@ -434,7 +487,7 @@ def test_orbit_refinement_of_a_forced_system_is_admitted():
     weights[3] += 1
     forced = GroundSystem(pieces.size, weights, pieces.blocks, pieces.tau,
                           check_axioms=False)
-    refined = forced.orbit_refinement()
+    refined = forced.orbit_refinement
     assert refined.weights == forced.weights
     assert set(refined.blocks) == {frozenset([0, 1]), frozenset([2, 3])}
     assert not refined.structure.ok
@@ -444,7 +497,7 @@ def test_orbit_refinement_of_a_forced_system_is_admitted():
 def test_ergodic_iff_refinement_fixed():
     for sys in (swap_example(), two_two_cycles(),
                 with_single_block(two_two_cycles())):
-        same_blocks = set(sys.orbit_refinement().blocks) == set(sys.blocks)
+        same_blocks = set(sys.orbit_refinement.blocks) == set(sys.blocks)
         assert sys.is_conditionally_ergodic() == same_blocks
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -22,10 +23,11 @@ from cepskit.generators import (
     with_single_block,
 )
 from cepskit.approx import build_s_prime
-from cepskit.lattice import elem
+from cepskit.lattice import elem, zeros
 from cepskit.recurrence import kac_certificate
 from cepskit.system import Check, GroundSystem
 from cepskit.tower import (
+    BoundCertificate,
     build_tower,
     build_tower_eps,
     build_tower_eps_ls,
@@ -332,3 +334,36 @@ def test_callers_component_is_checked_once(monkeypatch):
 def test_components_off_omega_raise_dimension_error(call):
     with pytest.raises(DimensionError):
         call()
+
+
+def test_tower_refusals():
+    sys = single_cycle(12)
+    with pytest.raises(DomainError, match=r"^eps must be positive, got 0$"):
+        build_tower_eps_ls(sys, range(12), 2, 0)
+    with pytest.raises(DomainError,
+                       match=r"^v must be a nonzero orbit-invariant component$"):
+        build_tower_eps_ls(sys, [], 2, "1/5")
+    with pytest.raises(DomainError, match=r"^horizon must be >= 1, got 0$"):
+        find_base_component(sys, 0)
+
+
+def test_verify_against_names_every_broken_invariant():
+    sys = single_cycle(6)
+    tower = build_tower(sys, [0], 3)  # levels {0, 3}, {2, 5}, {1, 4}
+    assert tower.verify_against(sys) == []
+    failing = BoundCertificate("made-up", lhs=sys.unit, rhs=zeros(6), relation="<=")
+    tampered = {
+        "level-count": replace(tower, levels=tower.levels[:-1],
+                               residual=tower.levels[-1]),
+        "level-1-not-koopman-image": replace(
+            tower, levels=(tower.levels[0], frozenset([5]), tower.levels[2]),
+            residual=frozenset([2])),
+        "levels-not-disjoint": replace(tower, height=4,
+                                       levels=sys.iterates(tower.base, 4)),
+        "residual-mismatch": replace(tower, residual=frozenset([0])),
+        "certificate-made-up": replace(tower, extra_certificates=(failing,)),
+    }
+    for problem, broken in tampered.items():
+        assert broken.verify_against(sys) == [problem]
+    assert replace(tower, bound_certificate=failing, extra_certificates=(failing,)) \
+        .verify_against(sys) == ["certificate-made-up", "certificate-made-up"]
