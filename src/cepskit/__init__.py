@@ -9,7 +9,6 @@ from .approx import (
     build_s_prime,
     distance_profile,
     s_prime_apply,
-    s_prime_operator,
     surjectivity_preimage,
 )
 from .errors import (

@@ -12,8 +12,8 @@ the points, on the levels built once by ``GroundSystem.iterates``: at
 each x exactly one term applies (S'e = e, pointwise), and its point is
 tau'(x); no point is the image of two (S' chi_m is a coordinate
 indicator); and TS' = T holds on every coordinate indicator, checked
-through the inverse. The operator sum itself (``s_prime_operator``) is
-kept as the dense cross-check oracle. The conditional distance to S is
+through the inverse. The dense operator sum itself is the cross-check
+oracle ``oracles.s_prime_operator``. The conditional distance to S is
 certified per component u:
 
     T |(S - S')u| <= eps e,
@@ -94,20 +94,6 @@ class PeriodicApproximation:
             },
             "certificate": self.certificate.as_dict(),
         }
-
-
-def s_prime_operator(
-    sys: GroundSystem, p: Component, n: int, f: LatticeElement
-) -> LatticeElement:
-    """Apply the operator sum S P_q + S^{1-n} P_{S^{n-1}p} + P_{e-h} to f."""
-    levels = [sys.component_image(i, p) for i in range(n)]
-    h = frozenset().union(*levels)
-    q = frozenset().union(*levels[: n - 1])
-    top = levels[n - 1]
-    term1 = sys.koopman(1, band_project(q, f))
-    term2 = sys.koopman(1 - n, band_project(top, f))
-    term3 = band_project(sys.ground_set() - h, f)
-    return term1 + term2 + term3
 
 
 def s_prime_apply(approx: PeriodicApproximation, f: LatticeElement) -> LatticeElement:

@@ -52,6 +52,7 @@ from .generators import (
 )
 from .jsontext import dumps_indented
 from .lattice import ZERO
+from .oracles import n_aperiodic_definitional
 from .rationals import format_rational, parse_integer, parse_rational
 from .recurrence import first_return_time, kac_certificate, return_decomposition, \
     check_recurrent
@@ -344,8 +345,10 @@ def _cmd_tower_ls(args, sys) -> tuple[int, dict, dict]:
 
 def _cmd_aperiodic(args, sys) -> tuple[int, dict, dict]:
     v = _parse_indices(args.v, sys.size)
-    modes = ["criterion", "definitional"] if args.mode == "both" else [args.mode]
-    results = {mode: n_aperiodic(sys, v, args.horizon, mode=mode) for mode in modes}
+    criterion = n_aperiodic(sys, v, args.horizon)  # in every mode: it checks v and N
+    results = {} if args.mode == "definitional" else {"criterion": criterion}
+    if args.mode != "criterion":
+        results["definitional"] = n_aperiodic_definitional(sys, v, args.horizon)
     agree = len(set(results.values())) == 1
     inputs = {"v": sorted(v), "N": args.horizon}
     return (0 if agree else 1), inputs, {"results": results, "agree": agree}

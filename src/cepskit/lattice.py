@@ -34,8 +34,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Indices are ints, never bools or other int subclasses.
+_INT = frozenset([int])
+
+
 def as_component(members: Iterable[int]) -> Component:
     return members if isinstance(members, frozenset) else frozenset(members)
+
+
+def checked_component(n: int, members: Iterable[int]) -> Component:
+    """members as a component of {0,...,n-1}; DimensionError names the members
+    that are not ints, else those out of range. Both tests run in C: sorting
+    ints compares them faster than min and max do."""
+    c = as_component(members)
+    if not set(map(type, c)) <= _INT:
+        bad = [i for i in c if type(i) is not int]
+        raise DimensionError(f"component members {bad} are not ints")
+    ordered = sorted(c)
+    if ordered and (ordered[0] < 0 or ordered[-1] >= n):
+        bad = [i for i in ordered if not 0 <= i < n]
+        raise DimensionError(f"component members {bad} outside ground set of size {n}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -198,10 +217,7 @@ def ones(n: int) -> LatticeElement:
 
 def indicator(n: int, members: Iterable[int]) -> LatticeElement:
     """The {0,1}-valued element of a component, as a lattice element."""
-    members = as_component(members)
-    bad = [i for i in members if not 0 <= i < n]
-    if bad:
-        raise DimensionError(f"component members {bad} outside ground set of size {n}")
+    members = checked_component(n, members)
     values = [ZERO] * n
     for i in members:
         values[i] = ONE
@@ -216,10 +232,7 @@ is_component = LatticeElement.is_component
 
 def band_project(u: Iterable[int], f: LatticeElement) -> LatticeElement:
     """Band projection P_u: keep the entries inside u, zero the rest."""
-    u = as_component(u)
-    bad = [i for i in u if not 0 <= i < len(f)]
-    if bad:
-        raise DimensionError(f"band {bad} outside ground set of size {len(f)}")
+    u = checked_component(len(f), u)
     values, entries = [ZERO] * len(f), f.values
     for i in u:
         values[i] = entries[i]

@@ -8,8 +8,11 @@ gaps between points of p on a tau-cycle), ``check_recurrent`` (cycles
 meeting q), the ``build_tower`` base, ``tau_power``, the per-block T of
 ``component_expectation`` and the closed-form distance supremum of
 ``approx``. Only ``tau``, its inverse, the weights and the blocks (and a
-caller's tau') are read here. The property suites and the test suite compare
-the two routes; nothing in the construction modules imports this one.
+caller's tau') are read here, save by ``s_prime_operator``: the operator sum
+S' applied densely through ``koopman``, against the point map that
+``build_s_prime`` reads off it. The readers are the tests, ``suites`` and the
+CLI's ``aperiodic --mode definitional|both``; nothing in the construction
+modules imports this one.
 
 Direction of the point flow: the first-return formula
 q(p,k) = p ^ S^{-k}p ^ (e - join_{j<k} S^{-j}p), with S^i acting on
@@ -25,7 +28,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
-from .lattice import Component, LatticeElement, as_component
+from .errors import DomainError
+from .lattice import Component, LatticeElement, as_component, band_project
 from .system import GroundSystem
 
 
@@ -98,6 +102,55 @@ def all_components(size: int) -> Iterator[Component]:
     """Every subset of {0,...,size-1}, empty set first (2^size of them)."""
     for mask in range(1 << size):
         yield frozenset(i for i in range(size) if mask >> i & 1)
+
+
+def n_aperiodic_definitional(sys: GroundSystem, v: Iterable[int], horizon: int) -> bool:
+    """Every nonzero component c <= v has a nonzero u <= c and k >= N with
+    q(u,k) nonzero, the k being the keys of ``first_return_sets``.
+
+    Doubly exhaustive, hence refused for |Omega| > 12. ``tower.n_aperiodic``
+    is the criterion, and it refuses an empty v and N < 1; this does not.
+    """
+    v = sys.component(v)
+    if sys.size > 12:
+        raise DomainError(f"definitional mode is exhaustive and refused for |Omega| = "
+                          f"{sys.size} > 12; use criterion mode")
+    members = sorted(v)
+    subsets = [frozenset(map(members.__getitem__, s))
+               for s in all_components(len(members)) if s]
+    return all(any(max(first_return_sets(sys, u)) >= horizon for u in subsets if u <= c)
+               for c in subsets)
+
+
+def s_prime_operator(
+    sys: GroundSystem, p: Component, n: int, f: LatticeElement
+) -> LatticeElement:
+    """Apply the operator sum S P_q + S^{1-n} P_{S^{n-1}p} + P_{e-h} to f."""
+    levels = [sys.component_image(i, p) for i in range(n)]
+    h = frozenset().union(*levels)
+    q = frozenset().union(*levels[: n - 1])
+    top = levels[n - 1]
+    term1 = sys.koopman(1, band_project(q, f))
+    term2 = sys.koopman(1 - n, band_project(top, f))
+    term3 = band_project(sys.ground_set() - h, f)
+    return term1 + term2 + term3
+
+
+def partial_cesaro_sum(sys: GroundSystem, f: LatticeElement, n: int) -> LatticeElement:
+    """(1/n) sum_{k=0}^{n-1} S^k f, computed exactly by walking tau.
+
+    At n = lcm of the cycle lengths this equals ``cesaro_mean`` exactly.
+    """
+    sys._check_element(f)
+    if n < 1:
+        raise DomainError(f"partial Cesaro sum needs n >= 1, got {n}")
+    totals = [Fraction(0)] * sys.size
+    current = list(range(sys.size))  # current[i] = tau^k(i)
+    for _ in range(n):
+        for i in range(sys.size):
+            totals[i] += f[current[i]]
+        current = [sys.tau[c] for c in current]
+    return LatticeElement(tuple(t / n for t in totals))
 
 
 def scan_components(sys: GroundSystem, tau_prime, eps, masks):

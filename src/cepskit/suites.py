@@ -19,7 +19,7 @@ from . import approx as approx_mod
 from . import recurrence, tower
 from .generators import RandomSpec, random_component, random_system, single_cycle
 from .lattice import LatticeElement
-from .oracles import first_return_sets
+from .oracles import first_return_sets, n_aperiodic_definitional, s_prime_operator
 from .system import GroundSystem, validate_ceps
 
 def _trial_system(
@@ -132,8 +132,8 @@ def _aperiodic_trial(trial_seed: int, rng: random.Random) -> list[str]:
     problems = []
     v = sys.ground_set()
     for horizon in (1, 2, 3, 5):
-        via_def = tower.n_aperiodic(sys, v, horizon, mode="definitional")
-        via_crit = tower.n_aperiodic(sys, v, horizon, mode="criterion")
+        via_def = n_aperiodic_definitional(sys, v, horizon)
+        via_crit = tower.n_aperiodic(sys, v, horizon)
         if via_def != via_crit:
             problems.append(
                 f"aperiodicity modes disagree at N={horizon}: "
@@ -155,7 +155,7 @@ def _approx_trial(trial_seed: int, rng: random.Random) -> list[str]:
         problems.append("tau' cycle longer than the period bound")
     for _ in range(10):
         f = _random_element(rng, m)
-        via_operator = approx_mod.s_prime_operator(sys, base, n, f)
+        via_operator = s_prime_operator(sys, base, n, f)
         via_map = approx_mod.s_prime_apply(approx, f)
         if via_operator != via_map:
             problems.append("operator sum and extracted point map disagree")

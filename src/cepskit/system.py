@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (DimensionError, DomainError, InvalidSystem, MalformedInput,
                      NotConditionallyErgodic)
 from .jsontext import dumps_indented
-from .lattice import (ZERO, BlockValues, Component, LatticeElement, _element,
-                      as_component, indicator, jsonable, ones)
+from .lattice import (_INT, ZERO, BlockValues, Component, LatticeElement, _element,
+                      checked_component, indicator, jsonable, ones)
 from .rationals import as_rational, format_rational
 
 
@@ -183,10 +183,6 @@ class GroundSystem:
                 pos[i] = k
         return tuple(pos)
 
-    @cached_property
-    def cycle_lengths_lcm(self) -> int:
-        return lcm(*(len(c) for c in self.cycles))
-
     @property
     def unit(self) -> LatticeElement:
         return ones(self.size)
@@ -195,14 +191,8 @@ class GroundSystem:
         return frozenset(range(self.size))
 
     def component(self, indices: Iterable[int]) -> Component:
-        """indices as a component of e; DimensionError for a member off Omega."""
-        c = as_component(indices)
-        bad = [i for i in c if not (type(i) is int and 0 <= i < self.size)]
-        if bad:
-            raise DimensionError(
-                f"component members {bad} outside ground set of size {self.size}"
-            )
-        return c
+        """indices as a component of e; DimensionError for a non-int or off Omega."""
+        return checked_component(self.size, indices)
 
     # -- point maps --
 
@@ -284,12 +274,13 @@ class GroundSystem:
 
     def component_image(self, j: int, p: Iterable[int]) -> Component:
         """S^j on the indicator of p, as a set: tau^{-j}(p) = {x : tau^j(x) in p}."""
-        p = as_component(p)
+        p = checked_component(self.size, p)
         return frozenset(self.tau_power(-j, x) for x in p)
 
     def iterates(self, p: Iterable[int], n: int) -> tuple[Component, ...]:
-        """(S^0 p, ..., S^{n-1} p) as sets, each level tau^{-1} of the one before."""
-        levels = [as_component(p)]
+        """(S^0 p, ..., S^{n-1} p) as sets, each level tau^{-1} of the one before;
+        p is checked, the levels built from it are not."""
+        levels = [checked_component(self.size, p)]
         for _ in range(n - 1):
             levels.append(frozenset(map(self.tau_inverse.__getitem__, levels[-1])))
         return tuple(levels[:n])
@@ -309,23 +300,6 @@ class GroundSystem:
         return LatticeElement(
             tuple(averages[self.cycle_of[i]] for i in range(self.size))
         )
-
-    def partial_cesaro_sum(self, f: LatticeElement, n: int) -> LatticeElement:
-        """(1/n) sum_{k=0}^{n-1} S^k f, computed exactly.
-
-        Exposed for the convergence check: at n = lcm of the cycle lengths
-        this equals ``cesaro_mean`` exactly.
-        """
-        self._check_element(f)
-        if n < 1:
-            raise DomainError(f"partial Cesaro sum needs n >= 1, got {n}")
-        totals = [Fraction(0)] * self.size
-        current = list(range(self.size))  # current[i] = tau^k(i)
-        for _ in range(n):
-            for i in range(self.size):
-                totals[i] += f[current[i]]
-            current = [self.tau[c] for c in current]
-        return LatticeElement(tuple(t / n for t in totals))
 
     @cached_property
     def ergodic_defect(self) -> tuple[Component, tuple[Component, ...]] | None:
@@ -395,10 +369,6 @@ _WELLFORMED = frozenset(
     ["size-positive", "weights-wellformed", "weights-strictly-positive",
      "blocks-partition", "tau-permutation"]
 )
-
-
-# Block members and tau entries are ints, never bools or other int subclasses.
-_INT = frozenset([int])
 
 
 def validate_parts(size, weights, blocks, tau) -> ValidationReport:

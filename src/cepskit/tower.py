@@ -16,8 +16,9 @@ requirement explicitly ("N-aperiodic": every cycle length >= N, here with
 N = floor((n-1)/eps) + 1 and base cycles of length >= N+1). When a cycle
 is too short the construction refuses with NotAperiodicAtHorizon - which
 is precisely how the direct-product counterexample manifests at finite
-truncation. The L_S variant for non-ergodic systems is the same
-construction on the orbit refinement, whose conditional expectation is
+truncation; ``n_aperiodic`` is that criterion, proved equal to the
+definition in its docstring. The L_S variant for non-ergodic systems is the
+same construction on the orbit refinement, whose conditional expectation is
 L_S, over the tau-cycles of a component v.
 
 All inequalities are certified with both sides stored verbatim as exact
@@ -35,14 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 from math import floor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InvalidSystem, NotAperiodicAtHorizon, TheoremViolation
 from .lattice import ONE, ZERO, Component, LatticeElement
 from .rationals import as_rational, format_rational
-from .recurrence import max_cycle_length_meeting, q_component, return_decomposition
+from .recurrence import return_decomposition
 from .system import Check, GroundSystem, ValidationReport
 
 
@@ -187,53 +187,25 @@ def proof_chain_identity(
     return lhs, rhs, lhs == rhs
 
 
-def nonzero_subsets(c: Component) -> Iterator[Component]:
-    """Every nonempty subset of c, lazily, singletons first."""
-    members = sorted(c)
-    for r in range(1, len(members) + 1):
-        for combo in combinations(members, r):
-            yield frozenset(combo)
+def n_aperiodic(sys: GroundSystem, v: Iterable[int], horizon: int) -> bool:
+    """The finite aperiodicity surrogate at a single horizon N: every
+    tau-cycle meeting v has length >= N.
 
-
-def n_aperiodic(
-    sys: GroundSystem, v: Iterable[int], horizon: int, mode: str = "criterion"
-) -> bool:
-    """The finite aperiodicity surrogate at a single horizon N.
-
-    criterion mode: every tau-cycle meeting v has length >= N.
-    definitional mode: for every nonzero component c <= v there exist
-    k >= N and a component u <= c with q(u,k) nonzero. Exhaustive, hence
-    refused for |Omega| > 12. The two modes agree wherever both run.
+    This criterion is the definition (every nonzero component c <= v has a
+    nonzero u <= c and k >= N with q(u,k) nonzero), whose exhaustive form is
+    ``oracles.n_aperiodic_definitional``. Take x in v on a cycle of length
+    L; then q({x}, L) = {x}. If every cycle meeting v has L >= N, then every
+    nonzero c <= v holds such an x, and u = {x}, k = L witness the
+    definition for c. If some x in v has L < N, take c = {x}: its only
+    nonzero u is {x}, and q({x}, k) is nonzero only at k = L < N, so the
+    definition fails.
     """
     v = sys.component(v)
     if not v:
         raise DomainError("n_aperiodic needs a nonzero component v")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if mode == "criterion":
-        return all(
-            len(sys.cycles[c]) >= horizon for c in {sys.cycle_of[x] for x in v}
-        )
-    if mode != "definitional":
-        raise DomainError(f"unknown mode {mode!r}")
-    if sys.size > 12:
-        raise DomainError(
-            f"definitional mode is exhaustive and refused for |Omega| = "
-            f"{sys.size} > 12; use criterion mode"
-        )
-    for c in nonzero_subsets(v):
-        if not _has_late_return(sys, c, horizon):
-            return False
-    return True
-
-
-def _has_late_return(sys: GroundSystem, c: Component, horizon: int) -> bool:
-    """Exists u <= c nonzero and k >= horizon with q(u,k) nonzero?"""
-    for u in nonzero_subsets(c):
-        for k in range(horizon, max_cycle_length_meeting(sys, u) + 1):
-            if q_component(sys, u, k):
-                return True
-    return False
+    return all(len(sys.cycles[c]) >= horizon for c in {sys.cycle_of[x] for x in v})
 
 
 def find_base_component(sys: GroundSystem, horizon: int) -> Component:

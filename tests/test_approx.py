@@ -10,13 +10,12 @@ from cepskit.approx import (
     build_s_prime,
     distance_profile,
     s_prime_apply,
-    s_prime_operator,
     surjectivity_preimage,
 )
 from cepskit.errors import DimensionError, DomainError, NotAperiodicAtHorizon
 from cepskit.generators import single_cycle, swap_example
 from cepskit.lattice import elem
-from cepskit.oracles import all_components, scan_components
+from cepskit.oracles import all_components, s_prime_operator, scan_components
 from cepskit.system import GroundSystem, permutation_cycles
 
 F = Fraction

@@ -207,6 +207,26 @@ def test_aperiodic_command(tmp_path, capsys):
     assert code == 0
     assert report["results"] == {"criterion": True, "definitional": True}
     assert report["agree"]
+    code, report = run(capsys, "aperiodic", "--system", str(path), "--v", v,
+                       "--N", "4", "--mode", "definitional")
+    assert code == 0
+    assert report["results"] == {"definitional": False}
+    assert report["agree"]
+    # The definitional oracle refuses above 12 points; an empty v and N = 0
+    # are refused as in criterion mode.
+    c13 = tmp_path / "c13.json"
+    save(single_cycle(13), c13)
+    code, report = run(capsys, "aperiodic", "--system", str(c13), "--v", "0",
+                       "--N", "3", "--mode", "definitional")
+    assert code == 2 and report == {
+        "outcome": "rejected", "kind": "DomainError",
+        "error": "definitional mode is exhaustive and refused for |Omega| = 13 > 12; "
+                 "use criterion mode"}
+    for bad in (["--v", "", "--N", "3"], ["--v", "0", "--N", "0"]):
+        refusal = run(capsys, "aperiodic", "--system", str(path), *bad)
+        assert refusal[0] == 2
+        assert run(capsys, "aperiodic", "--system", str(path), *bad,
+                   "--mode", "definitional") == refusal
 
 
 def test_approx_manual_and_auto(tmp_path, capsys):

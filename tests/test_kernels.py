@@ -7,16 +7,23 @@ the exhaustive scan of the conditional distance over all 2^N components
 the forward-image sweep for recurrence, stepwise images for the iterates
 S^i p, the pairwise scan for the disjointness witnesses, the suffix-union
 formula for the tower base, stepwise S^j and the per-point reads that the
-table-driven point maps replaced, and dense T of indicators for every
-certificate side. The sides are held one value per block
+table-driven point maps replaced, dense T of indicators for every
+certificate side, and the definition of N-aperiodicity, by exhaustion over
+components, for its cycle-length criterion. The sides are held one value per block
 (``BlockValues``): their dense ``values``, their ``holds`` and the Kac
 flag must equal the dense formulas and comparisons they replaced.
 Systems are drawn from ``random_system`` and from force-admitted
 candidates that break the CEPS axioms, all with at most 64 points (16
-where the reference is exhaustive over components).
+where the reference is exhaustive over components, 10 where it is doubly
+so). A last test reads the imports: the oracles stay independent of the
+constructions they check.
 """
 
+import ast
+import inspect
+import sys as _sys
 from fractions import Fraction
+from importlib import import_module
 from math import floor
 from unittest import mock
 
@@ -28,7 +35,6 @@ from cepskit.approx import (
     _certify_distance,
     build_s_prime,
     s_prime_apply,
-    s_prime_operator,
 )
 from cepskit.errors import (CepsError, DomainError, NotConditionallyErgodic,
                             TheoremViolation)
@@ -40,6 +46,8 @@ from cepskit.oracles import (
     brute_koopman,
     first_return_sets,
     forward_image_union,
+    n_aperiodic_definitional,
+    s_prime_operator,
     scan_components,
 )
 from cepskit.recurrence import (
@@ -60,6 +68,7 @@ from cepskit.tower import (
     build_tower,
     build_tower_eps,
     build_tower_eps_ls,
+    n_aperiodic,
     proof_chain_identity,
 )
 
@@ -853,3 +862,50 @@ def test_point_maps_are_stepwise_and_per_point_reads(sys, data):
         tuple(a if i in u else zero for i, a in enumerate(f.values)))
     assert indicator(sys.size, u) == LatticeElement(
         tuple(one if i in u else zero for i in range(sys.size)))
+
+
+@st.composite
+def aperiodicity_cases(draw):
+    """A generated system of at most 10 points, ergodic or not, a nonzero
+    component v (random, a singleton or Omega) and a horizon N in 1..7."""
+    ergodic = draw(st.booleans())
+    sys = random_system(RandomSpec(seed=draw(st.integers(0, 2**32)),
+                                   num_blocks=(1, 2), cycle_lengths=(1, 5),
+                                   ergodic=ergodic))
+    assume(sys.size <= 10)
+    v = draw(st.one_of(
+        st.sets(st.integers(0, sys.size - 1), min_size=1).map(frozenset),
+        st.integers(0, sys.size - 1).map(lambda x: frozenset([x])),
+        st.just(sys.ground_set()),
+    ))
+    return sys, v, draw(st.integers(1, 7))
+
+
+@SETTINGS
+@given(aperiodicity_cases())
+def test_aperiodicity_criterion_is_the_definition(case):
+    sys, v, horizon = case
+    assert n_aperiodic(sys, v, horizon) == n_aperiodic_definitional(sys, v, horizon)
+
+
+def imported_modules(name: str) -> set[str]:
+    """The modules cepskit.<name>'s source imports, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(import_module(f"cepskit.{name}")))):
+        if isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_oracles_import_no_construction_module():
+    """oracles.py reads only errors, lattice, system and the standard library,
+    no module it cross-checks imports it, and tower.py enumerates no subsets."""
+    names = imported_modules("oracles")
+    assert {n for n in names if n.startswith(".")} == {".errors", ".lattice", ".system"}
+    assert all(n.split(".")[0] in _sys.stdlib_module_names
+               for n in names if not n.startswith("."))
+    for name in ("lattice", "system", "recurrence", "tower", "approx"):
+        assert ".oracles" not in imported_modules(name)
+    assert "itertools" not in imported_modules("tower")

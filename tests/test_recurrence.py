@@ -8,6 +8,7 @@ reason, and every derived value below was computed with it.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_recurrent_union_stabilizes_at_max_cycle_length():
         maxlen = max(len(c) for c in sys.cycles)
         q = frozenset([0, sys.size - 1])
         at_max = forward_image_union(sys, q, maxlen)
-        at_lcm = forward_image_union(sys, q, sys.cycle_lengths_lcm)
+        at_lcm = forward_image_union(sys, q, lcm(*map(len, sys.cycles)))
         assert at_max == at_lcm
         cycles_met = frozenset().union(
             *(sys.cycles[sys.cycle_of[x]] for x in q)

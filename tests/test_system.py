@@ -16,8 +16,9 @@ from cepskit.generators import (
     swap_example,
     with_single_block,
 )
-from cepskit.lattice import elem, ones
-from cepskit.oracles import block_average, brute_component_image, brute_koopman
+from cepskit.lattice import band_project, elem, indicator, ones
+from cepskit.oracles import (block_average, brute_component_image, brute_koopman,
+                             partial_cesaro_sum)
 from cepskit.rationals import as_rational, format_rational
 from cepskit.recurrence import return_decomposition
 from cepskit.system import (Check, GroundSystem, from_raw, load, save, validate_ceps,
@@ -182,9 +183,14 @@ def test_library_indices_must_be_ints(blocks, tau, failures):
 @pytest.mark.parametrize("call", [
     lambda: single_cycle(3).component([True]),
     lambda: return_decomposition(single_cycle(3), {True}),
-], ids=["component", "return-decomposition"])
+    lambda: indicator(3, [True]),
+    lambda: band_project([True], elem([5, 6, 7])),
+    lambda: single_cycle(3).component_image(1, [True]),
+    lambda: single_cycle(3).iterates([True], 2),
+], ids=["component", "return-decomposition", "indicator", "band-project",
+        "component-image", "iterates"])
 def test_component_members_must_be_ints(call):
-    with pytest.raises(DimensionError, match=r"members \[True\] outside"):
+    with pytest.raises(DimensionError, match=r"^component members \[True\] are not ints$"):
         call()
 
 
@@ -431,16 +437,16 @@ def test_cesaro_swap_and_two_cycles():
 def test_partial_cesaro_matches_exact_limit_at_lcm():
     sys = direct_product([single_cycle(4), single_cycle(6)])
     f = elem([1, 0, 0, 2, 5, 0, 1, 0, 0, "1/2"])
-    n = sys.cycle_lengths_lcm
+    n = lcm(*map(len, sys.cycles))
     assert n == 12
-    assert sys.partial_cesaro_sum(f, n) == sys.cesaro_mean(f)
-    assert sys.partial_cesaro_sum(f, n - 1) != sys.cesaro_mean(f)
+    assert partial_cesaro_sum(sys, f, n) == sys.cesaro_mean(f)
+    assert partial_cesaro_sum(sys, f, n - 1) != sys.cesaro_mean(f)
 
 
 def test_partial_cesaro_sum_needs_a_positive_n():
     swap = swap_example()
     with pytest.raises(DomainError, match=r"^partial Cesaro sum needs n >= 1, got 0$"):
-        swap.partial_cesaro_sum(swap.unit, 0)
+        partial_cesaro_sum(swap, swap.unit, 0)
 
 
 def test_conditionally_ergodic_cases():

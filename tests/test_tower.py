@@ -24,6 +24,7 @@ from cepskit.generators import (
 )
 from cepskit.approx import build_s_prime
 from cepskit.lattice import elem, zeros
+from cepskit.oracles import n_aperiodic_definitional
 from cepskit.recurrence import kac_certificate
 from cepskit.system import Check, GroundSystem
 from cepskit.tower import (
@@ -118,38 +119,35 @@ def test_proof_chain_identity():
 def test_n_aperiodic_criterion_cases():
     sys = direct_product([single_cycle(3), single_cycle(5)])
     v = sys.ground_set()
-    assert n_aperiodic(sys, v, 3, mode="criterion")
-    assert not n_aperiodic(sys, v, 4, mode="criterion")
+    assert n_aperiodic(sys, v, 3)
+    assert not n_aperiodic(sys, v, 4)
     # v inside a fixed point
     fixed = truncated_counterexample(2)  # cycles of lengths 1 and 2
-    assert not n_aperiodic(fixed, [0], 2, mode="criterion")
+    assert not n_aperiodic(fixed, [0], 2)
     # a single M-cycle is N-aperiodic for every N <= M
     c6 = single_cycle(6)
     for horizon in range(1, 7):
-        assert n_aperiodic(c6, c6.ground_set(), horizon, mode="criterion")
+        assert n_aperiodic(c6, c6.ground_set(), horizon)
 
 
 def test_n_aperiodic_modes_agree_and_guard():
     sys = direct_product([single_cycle(3), single_cycle(5)])
     v = sys.ground_set()
     for horizon in (1, 2, 3, 4, 5, 6):
-        assert (n_aperiodic(sys, v, horizon, mode="definitional")
-                == n_aperiodic(sys, v, horizon, mode="criterion"))
+        assert n_aperiodic_definitional(sys, v, horizon) == n_aperiodic(sys, v, horizon)
     with pytest.raises(DomainError):
         n_aperiodic(sys, [], 2)
     with pytest.raises(DomainError):
-        n_aperiodic(single_cycle(13), range(13), 2, mode="definitional")
-    with pytest.raises(DomainError):
-        n_aperiodic(sys, v, 2, mode="nonsense")
+        n_aperiodic_definitional(single_cycle(13), range(13), 2)
 
 
 def test_n_aperiodic_on_sub_component():
     sys = direct_product([single_cycle(2), single_cycle(5)])
     inside_long = frozenset([3, 4])
-    assert n_aperiodic(sys, inside_long, 4, mode="criterion")
-    assert n_aperiodic(sys, inside_long, 4, mode="definitional")
-    assert not n_aperiodic(sys, sys.ground_set(), 3, mode="criterion")
-    assert not n_aperiodic(sys, sys.ground_set(), 3, mode="definitional")
+    assert n_aperiodic(sys, inside_long, 4)
+    assert n_aperiodic_definitional(sys, inside_long, 4)
+    assert not n_aperiodic(sys, sys.ground_set(), 3)
+    assert not n_aperiodic_definitional(sys, sys.ground_set(), 3)
 
 
 # -- base component at a horizon --
@@ -329,8 +327,10 @@ def test_callers_component_is_checked_once(monkeypatch):
     lambda: proof_chain_identity(swap_example(), {-1},
                                  build_tower(swap_example(), {0}, 1)),
     lambda: build_s_prime(single_cycle(12), {0, 12}, 2),
+    lambda: single_cycle(3).component_image(1, {3}),
+    lambda: single_cycle(3).iterates({-1}, 2),
 ], ids=["aperiodic-too-large", "aperiodic-negative", "tower-ls-v", "tower",
-        "proof-chain", "s-prime"])
+        "proof-chain", "s-prime", "component-image", "iterates"])
 def test_components_off_omega_raise_dimension_error(call):
     with pytest.raises(DimensionError):
         call()
