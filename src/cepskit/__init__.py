@@ -51,7 +51,6 @@ from .recurrence import (
     disjointness_witnesses,
     first_return_time,
     kac_certificate,
-    q_component,
     return_decomposition,
 )
 from .system import (

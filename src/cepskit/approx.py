@@ -39,7 +39,7 @@ from typing import ClassVar, Iterable
 
 from .errors import DomainError, TheoremViolation
 from .lattice import (BlockValues, Component, LatticeElement, _element, as_component,
-                      band_project)
+                      band_project, disjoint_join)
 from .rationals import as_rational, format_rational
 from .system import GroundSystem, permutation_cycles
 from .tower import BoundCertificate, build_tower_eps
@@ -76,10 +76,7 @@ class PeriodicApproximation:
     tower_minus_top: Component  # q = join_{i<=n-2} S^i p
     eps: Fraction
     certificate: DistanceCertificate
-    cycle_lengths: dict[int, int] = field(repr=False, compare=False)  # by length
-
-    def cycle_length_histogram(self) -> dict[int, int]:
-        return dict(self.cycle_lengths)
+    cycle_length_histogram: dict[int, int] = field(repr=False, compare=False)  # by length
 
     def as_dict(self) -> dict:
         return {
@@ -90,7 +87,7 @@ class PeriodicApproximation:
             "q": sorted(self.tower_minus_top),
             "eps": format_rational(self.eps),
             "cycle_length_histogram": {
-                str(k): v for k, v in self.cycle_length_histogram().items()
+                str(k): v for k, v in self.cycle_length_histogram.items()
             },
             "certificate": self.certificate.as_dict(),
         }
@@ -130,13 +127,13 @@ def build_s_prime(
     if not p:
         raise DomainError("tower base p must be nonzero")
     levels = sys.iterates(p, n)
-    h = frozenset().union(*levels)
-    if sum(len(l) for l in levels) != len(h):
+    h = disjoint_join(levels)
+    if h is None:
         raise DomainError(
             f"iterates S^0..S^{n-1} of {sorted(p)} are not pairwise disjoint"
         )
     q = frozenset().union(*levels[: n - 1])
-    complement = sys.ground_set() - h
+    complement = sys.ground_set - h
 
     # tau' and its inverse in one pass over the three terms of S'. At x the
     # term S P_q applies when tau x is in q, S^{1-n} P_{S^{n-1}p} when x is
@@ -166,10 +163,10 @@ def build_s_prime(
     if m is not None:
         raise TheoremViolation(f"TS' = T fails on indicator of {m}")
 
-    cycle_lengths = dict(sorted(Counter(map(len, permutation_cycles(tau_prime))).items()))
-    if max(cycle_lengths) > n:
+    histogram = dict(sorted(Counter(map(len, permutation_cycles(tau_prime))).items()))
+    if max(histogram) > n:
         raise TheoremViolation(
-            f"tau' has a cycle of length {max(cycle_lengths)} > period bound {n}"
+            f"tau' has a cycle of length {max(histogram)} > period bound {n}"
         )
 
     # 2Tp + 2T(e-h) in one kernel pass.
@@ -187,7 +184,7 @@ def build_s_prime(
         tower_minus_top=q,
         eps=eps,
         certificate=certificate,
-        cycle_lengths=cycle_lengths,
+        cycle_length_histogram=histogram,
     )
 
 
@@ -256,7 +253,7 @@ def surjectivity_preimage(
     hat f = P_{e-h} f + P_q S^{-1} f + P_{S^{n-1}p} S^{n-1} f.
     """
     top = approx.tower - approx.tower_minus_top
-    off_tower = sys.ground_set() - approx.tower
+    off_tower = sys.ground_set - approx.tower
     return (
         band_project(off_tower, f)
         + band_project(approx.tower_minus_top, sys.koopman(-1, f))

@@ -5,7 +5,9 @@ Fractions; the order is pointwise, so meets and joins are pointwise min
 and max. The weak order unit e is the all-ones element. Components of e
 (the lattice analogue of measurable sets) carry a dedicated subset
 representation: a frozenset of indices, convertible to and from the
-{0,1}-valued element by ``indicator`` and ``support_component``.
+{0,1}-valued element by ``indicator`` (chi_c = P_c e, the band
+projection of the unit) and ``support_component``. ``disjoint_join`` is
+the one test that components are pairwise disjoint, and gives their join.
 An element constant on the blocks of a partition, such as T of anything,
 can be held as a ``BlockValues``: one value per block, compared block by
 block and expanded to the dense tuple only when that is asked for.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, DomainError
 from .rationals import RationalLike, as_rational, format_rational
@@ -216,12 +218,8 @@ def ones(n: int) -> LatticeElement:
 
 
 def indicator(n: int, members: Iterable[int]) -> LatticeElement:
-    """The {0,1}-valued element of a component, as a lattice element."""
-    members = checked_component(n, members)
-    values = [ZERO] * n
-    for i in members:
-        values[i] = ONE
-    return _element(tuple(values))
+    """chi_c = P_c e: the {0,1}-valued element of a component c of e."""
+    return band_project(members, _element((ONE,) * n))
 
 
 meet = LatticeElement.meet
@@ -237,6 +235,12 @@ def band_project(u: Iterable[int], f: LatticeElement) -> LatticeElement:
     for i in u:
         values[i] = entries[i]
     return _element(tuple(values))
+
+
+def disjoint_join(components: Sequence[Component]) -> Component | None:
+    """The join of the components, or None when two of them meet."""
+    union = frozenset().union(*components)
+    return union if sum(map(len, components)) == len(union) else None
 
 
 def support_component(f: LatticeElement) -> Component:

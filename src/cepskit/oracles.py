@@ -1,25 +1,26 @@
 """Independent reference computations for cross-checking.
 
 Everything here recomputes a quantity by brute force - explicit point
-trajectories, stepwise operator application, exhaustive enumeration -
-without touching the lattice formulas or the cycle-position kernels used
-by the constructions: ``return_decomposition`` (first returns as backward
-gaps between points of p on a tau-cycle), ``check_recurrent`` (cycles
-meeting q), the ``build_tower`` base, ``tau_power``, the per-block T of
-``component_expectation`` and the closed-form distance supremum of
-``approx``. Only ``tau``, its inverse, the weights and the blocks (and a
-caller's tau') are read here, save by ``s_prime_operator``: the operator sum
-S' applied densely through ``koopman``, against the point map that
-``build_s_prime`` reads off it. The readers are the tests, ``suites`` and the
-CLI's ``aperiodic --mode definitional|both``; nothing in the construction
-modules imports this one.
+trajectories, stepwise operator application, exhaustive enumeration - or
+states a definition directly, without touching the cycle-position kernels
+used by the constructions: ``return_decomposition`` (first returns as
+backward gaps between points of p on a tau-cycle), ``check_recurrent``
+(cycles meeting q), the ``build_tower`` base, ``tau_power`` and
+``component_image``, the per-block T of ``component_expectation`` and the
+closed-form distance supremum of ``approx``. Only ``tau``, its inverse, the
+weights and the blocks (and a caller's tau') are read here, save by
+``s_prime_operator``: the operator sum S' applied densely through
+``koopman``, against the point map that ``build_s_prime`` reads off it. The
+readers are the tests, ``suites`` and the CLI's ``aperiodic --mode
+definitional|both`` (``q_component`` the tests only); nothing in the
+construction modules imports this one.
 
 Direction of the point flow: the first-return formula
 q(p,k) = p ^ S^{-k}p ^ (e - join_{j<k} S^{-j}p), with S^i acting on
 components as tau^{-i}, picks out the points of p whose first return
-happens under the *inverse* point flow x -> tau^{-1}(x). The walkers
-below therefore iterate tau backwards; agreement with the lattice
-formula is exactly the cross-check the suites run.
+happens under the *inverse* point flow x -> tau^{-1}(x). ``q_component``
+steps the set p forward, S^{-j}p = tau^j(p); ``first_return_sets`` walks
+each point backwards. Agreement with the cycle positions is the cross-check.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ def first_return_sets(sys: GroundSystem, p: Iterable[int]) -> dict[int, Componen
                 raise AssertionError("first-return walk failed to terminate")
         sets.setdefault(k, set()).add(x)
     return {k: frozenset(v) for k, v in sorted(sets.items())}
+
+
+def q_component(sys: GroundSystem, p: Iterable[int], k: int) -> Component:
+    """q(p,k) by the lattice formula, S^{-j}p = tau^j(p) stepped one tau at a time."""
+    if k < 1:
+        raise DomainError(f"recurrence index must be >= 1, got {k}")
+    p = sys.component(p)
+    images = [p]  # images[j] = tau^j(p) = S^{-j}p
+    for _ in range(k):
+        images.append(frozenset(map(sys.tau.__getitem__, images[-1])))
+    return (p & images[k]).difference(*images[1:k])
 
 
 def brute_koopman(sys: GroundSystem, j: int, f: LatticeElement) -> LatticeElement:
@@ -132,7 +144,7 @@ def s_prime_operator(
     top = levels[n - 1]
     term1 = sys.koopman(1, band_project(q, f))
     term2 = sys.koopman(1 - n, band_project(top, f))
-    term3 = band_project(sys.ground_set() - h, f)
+    term3 = band_project(sys.ground_set - h, f)
     return term1 + term2 + term3
 
 

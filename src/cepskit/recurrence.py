@@ -5,13 +5,12 @@ exactly k steps is
 
     q(p,k) = p ^ S^{-k}p ^ (e - join_{j=1}^{k-1} S^{-j}p),
 
-with the empty join at k = 1 taken as 0. ``q_component`` evaluates this
-lattice formula via ``component_image`` and is kept as the reference. The
-production routes read the same sets off the cycle decomposition: S^j
-acts on components as tau^{-j}, so x lies in q(p,k) exactly when the
-previous point of p on the tau-cycle of x sits k positions back (a lone
-point of p on its cycle returns after the whole cycle). The trajectory
-simulation lives in oracles.py and is used only to cross-check.
+with the empty join at k = 1 taken as 0. Every route here reads these sets
+off cycle positions: S^j acts on components as tau^{-j}, so x lies in
+q(p,k) exactly when the previous point of p on the tau-cycle of x sits k
+positions back (a lone point of p on its cycle returns after the whole
+cycle). The lattice formula itself and the trajectory simulation live in
+oracles.py and are used only to cross-check.
 
 The sums are finite here: q(p,k) = 0 once k exceeds the longest tau-cycle
 meeting p, because a point returns to p no later than its cycle closes.
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
 from .lattice import ONE, Component, LatticeElement, elem
 from .system import GroundSystem
 
@@ -34,19 +32,6 @@ from .system import GroundSystem
 def max_cycle_length_meeting(sys: GroundSystem, p: Component) -> int:
     """The horizon bound: longest tau-cycle intersecting p (0 for empty p)."""
     return max((len(sys.cycles[sys.cycle_of[x]]) for x in p), default=0)
-
-
-def q_component(sys: GroundSystem, p: Iterable[int], k: int) -> Component:
-    """The maximal component of p recurrent at exactly k iterates of S."""
-    if k < 1:
-        raise DomainError(f"recurrence index must be >= 1, got {k}")
-    p = sys.component(p)
-    result = p & sys.component_image(-k, p)
-    for j in range(1, k):
-        if not result:
-            break
-        result -= sys.component_image(-j, p)
-    return frozenset(result)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import approx as approx_mod
 from . import recurrence, tower
 from .generators import RandomSpec, random_component, random_system, single_cycle
-from .lattice import LatticeElement
+from .lattice import LatticeElement, disjoint_join
 from .oracles import first_return_sets, n_aperiodic_definitional, s_prime_operator
 from .system import GroundSystem, validate_ceps
 
@@ -77,16 +77,11 @@ def _poincare_trial(trial_seed: int, rng: random.Random) -> list[str]:
     p = random_component(rng, sys.size, nonempty=True)
     problems = []
     decomp = recurrence.return_decomposition(sys, p)
-    union: set[int] = set()
-    total = 0
-    for qk in decomp.parts.values():
-        union |= qk
-        total += len(qk)
-    if union != p or total != len(p):
+    if disjoint_join(decomp.parts.values()) != p:
         problems.append(f"decomposition of p={sorted(p)} is not a disjoint tiling")
     if decomp.parts != first_return_sets(sys, p):
         problems.append(
-            f"lattice-formula q(p,k) disagrees with trajectory oracle on "
+            f"cycle-position q(p,k) disagrees with trajectory oracle on "
             f"p={sorted(p)}"
         )
     if decomp.horizon > recurrence.max_cycle_length_meeting(sys, p):
@@ -130,7 +125,7 @@ def _aperiodic_trial(trial_seed: int, rng: random.Random) -> list[str]:
         cycle_lengths=(1, 5),
     )
     problems = []
-    v = sys.ground_set()
+    v = sys.ground_set
     for horizon in (1, 2, 3, 5):
         via_def = n_aperiodic_definitional(sys, v, horizon)
         via_crit = tower.n_aperiodic(sys, v, horizon)
@@ -151,7 +146,7 @@ def _approx_trial(trial_seed: int, rng: random.Random) -> list[str]:
     approx = approx_mod.build_s_prime(sys, base, n)
     if not approx.certificate.holds:
         problems.append(f"manual certificate failed on {m}-cycle, n={n}")
-    if max(approx.cycle_length_histogram()) > n:
+    if max(approx.cycle_length_histogram) > n:
         problems.append("tau' cycle longer than the period bound")
     for _ in range(10):
         f = _random_element(rng, m)

@@ -111,7 +111,7 @@ class GroundSystem:
     the escape hatch the loader uses for counterexample demos. Either way
     ``structure`` keeps the full ``validate_parts`` report (a refusal's
     InvalidSystem carries it too), and derived facts (cycles, the
-    ergodicity defect, the orbit refinement) are computed once and cached.
+    ergodicity defect, the orbit refinement, Omega, e) are computed once and cached.
     """
 
     size: int
@@ -183,10 +183,11 @@ class GroundSystem:
                 pos[i] = k
         return tuple(pos)
 
-    @property
+    @cached_property
     def unit(self) -> LatticeElement:
         return ones(self.size)
 
+    @cached_property
     def ground_set(self) -> Component:
         return frozenset(range(self.size))
 
@@ -375,7 +376,7 @@ def validate_parts(size, weights, blocks, tau) -> ValidationReport:
     """Structural checks on already-parsed pieces; never raises."""
     checks: list[Check] = []
 
-    ok_size = isinstance(size, int) and size >= 1
+    ok_size = type(size) is int and size >= 1
     checks.append(Check("size-positive", ok_size, None if ok_size else size))
     if not ok_size:
         return ValidationReport(tuple(checks))
@@ -483,7 +484,7 @@ def validate_ceps(candidate: Mapping) -> ValidationReport:
     for x in range(sys.size):
         totals[block_of[x]] += weight[x]
     checks.append(Check("Te-equals-e", totals == list(mass)))
-    checks.append(Check("Se-equals-e", frozenset(sys.tau_inverse) == sys.ground_set()))
+    checks.append(Check("Se-equals-e", frozenset(sys.tau_inverse) == sys.ground_set))
 
     witness = sys._ts_equals_t_witness(sys.tau_inverse)
     checks.append(Check("TS-equals-T-extensional", witness is None, witness))

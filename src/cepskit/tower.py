@@ -36,11 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvalidSystem, NotAperiodicAtHorizon, TheoremViolation
-from .lattice import ONE, ZERO, Component, LatticeElement
+from .lattice import ONE, ZERO, Component, LatticeElement, disjoint_join
 from .rationals import as_rational, format_rational
 from .recurrence import return_decomposition
 from .system import Check, GroundSystem, ValidationReport
@@ -61,6 +62,8 @@ class BoundCertificate:
     holds: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.relation not in ("<=", ">="):
+            raise DomainError(f"relation must be '<=' or '>=', got {self.relation!r}")
         holds = self.lhs <= self.rhs if self.relation == "<=" else self.rhs <= self.lhs
         object.__setattr__(self, "holds", holds)
 
@@ -86,8 +89,9 @@ class Tower:
     extra_certificates: tuple[BoundCertificate, ...] = ()
     degenerate: bool = False  # empty base requested; theorem vacuously true
 
+    @cached_property
     def covered(self) -> Component:
-        return frozenset().union(*self.levels) if self.levels else frozenset()
+        return frozenset().union(*self.levels)
 
     def verify_against(self, sys: GroundSystem) -> list[str]:
         """Re-check every structural invariant; empty list means all hold."""
@@ -97,10 +101,9 @@ class Tower:
         for i, level in enumerate(self.levels):
             if level != sys.component_image(i, self.base):
                 problems.append(f"level-{i}-not-koopman-image")
-        covered = self.covered()
-        if sum(len(l) for l in self.levels) != len(covered):
+        if disjoint_join(self.levels) is None:
             problems.append("levels-not-disjoint")
-        if self.residual != sys.ground_set() - covered:
+        if self.residual != sys.ground_set - self.covered:
             problems.append("residual-mismatch")
         for cert in (self.bound_certificate, *self.extra_certificates):
             if not cert.holds:
@@ -143,12 +146,12 @@ def build_tower(sys: GroundSystem, p: Iterable[int], n: int) -> Tower:
     base = frozenset(base)
 
     levels = sys.iterates(base, n)
-    covered = frozenset().union(*levels)
-    if sum(len(l) for l in levels) != len(covered):
+    covered = disjoint_join(levels)
+    if covered is None:
         raise TheoremViolation(
             f"tower levels over base {sorted(base)} are not pairwise disjoint"
         )
-    residual = sys.ground_set() - covered
+    residual = sys.ground_set - covered
 
     # (P_{Tp}e - (n-1)Tp)^+ is max(1 - (n-1) Tp, 0) on the blocks p meets.
     tp = sys._t_sum(((1, p),))
@@ -182,7 +185,7 @@ def proof_chain_identity(
     """
     n = tower.height
     parts = return_decomposition(sys, p).parts
-    lhs = sys.block_element(sys._t_sum(((1, tower.covered()),)))
+    lhs = sys.block_element(sys._t_sum(((1, tower.covered),)))
     rhs = sys.block_element(sys._t_sum((n * (i // n), qi) for i, qi in parts.items()))
     return lhs, rhs, lhs == rhs
 
@@ -234,8 +237,7 @@ def _base_component(sys: GroundSystem, horizon: int,
             raise NotAperiodicAtHorizon(cyc, len(cyc), horizon + 1)
     c_n = frozenset(cyc[0] for cyc in cycles)
 
-    images = sys.iterates(c_n, horizon + 1)
-    if sum(len(im) for im in images) != len(frozenset().union(*images)):
+    if disjoint_join(sys.iterates(c_n, horizon + 1)) is None:
         raise TheoremViolation(
             f"iterates of base component {sorted(c_n)} are not disjoint up to "
             f"horizon {horizon}"
@@ -336,11 +338,9 @@ def build_tower_eps_ls(sys: GroundSystem, v: Iterable[int], n: int, eps) -> Towe
         raise DomainError("v must be a nonzero orbit-invariant component")
     if sys.component_image(1, v) != v:
         raise DomainError(f"{sorted(v)} is not a union of tau-orbits")
-    # As tuples first: shared weight objects match by identity, in C.
     weights, tau = sys.weights, sys.tau
-    if (tuple(map(weights.__getitem__, map(tau.__getitem__, v)))
-            != tuple(map(weights.__getitem__, v))):
-        broken = next(x for x in sorted(v) if weights[tau[x]] != weights[x])
+    broken = next((x for x in sorted(v) if weights[tau[x]] != weights[x]), None)
+    if broken is not None:
         raise InvalidSystem(ValidationReport(
             (Check("weights-tau-invariant", False, broken),)))
     cycles = [cyc for cyc in sys.cycles if cyc[0] in v]

@@ -98,7 +98,7 @@ def test_criterion_5_paper_example_regression():
     for n, want in expected_rhs.items():
         checks.append((p_tp_e - (n - 1) * tp).pos_part() == want)
         t = build_tower(swap, p, n)
-        checks.append(swap.expectation(swap.indicator(t.covered()))
+        checks.append(swap.expectation(swap.indicator(t.covered))
                       == expected_mass[n])
         checks.append(t.bound_certificate.holds)
     demo = paper_examples_report()
@@ -146,7 +146,7 @@ def test_criterion_7_aperiodicity_equivalence():
         if sys.size > 10:
             continue
         systems += 1
-        v = sys.ground_set()
+        v = sys.ground_set
         for horizon in (1, 2, 3, 4, 6):
             if n_aperiodic_definitional(sys, v, horizon) != n_aperiodic(sys, v, horizon):
                 mismatches += 1
@@ -163,10 +163,10 @@ def test_criterion_8_periodic_approximation():
     a_ok = (
         approx.tau_prime == (5, 1, 2, 3, 4, 6, 0)
         and all(approx.tau_prime[i] == i for i in (1, 2, 3, 4))
-        and max(approx.cycle_length_histogram()) <= 3
+        and max(approx.cycle_length_histogram) <= 3
         and all(
             (seven.tau[x] in approx.tower_minus_top) + (x in approx.base)
-            + (x in seven.ground_set() - approx.tower) == 1
+            + (x in seven.ground_set - approx.tower) == 1
             for x in range(7)
         )
         and all(

@@ -31,13 +31,13 @@ def test_seven_cycle_fixture():
     assert approx.tower == frozenset([0, 5, 6])
     assert approx.tower_minus_top == frozenset([0, 6])
     assert approx.tau_prime == (5, 1, 2, 3, 4, 6, 0)  # the cycle (0 5 6)
-    assert approx.cycle_length_histogram() == {1: 4, 3: 1}
+    assert approx.cycle_length_histogram == {1: 4, 3: 1}
 
 
 def test_partition_of_unity_explicit():
     sys, approx = seven_fixture()
     q, p = approx.tower_minus_top, approx.base
-    off = sys.ground_set() - approx.tower
+    off = sys.ground_set - approx.tower
     for x in range(sys.size):
         assert (sys.tau[x] in q) + (x in p) + (x in off) == 1
 
@@ -53,8 +53,8 @@ def test_full_tower_means_pure_period_n():
     # h = whole space: every tau'-cycle has length exactly n
     sys = single_cycle(6)
     approx = build_s_prime(sys, [0, 3], 3)
-    assert approx.tower == sys.ground_set()
-    assert approx.cycle_length_histogram() == {3: 2}
+    assert approx.tower == sys.ground_set
+    assert approx.cycle_length_histogram == {3: 2}
 
 
 def test_swap_height_two_recovers_s():

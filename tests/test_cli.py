@@ -943,3 +943,46 @@ def test_verdict_leaves_no_cyclic_garbage(tmp_path, capsys, command):
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+def test_reports_are_json_dumps_indent_2(tmp_path, capsys):
+    """In process, every command of CI's report-format step: stdout is exactly
+    the text json.dumps(indent=2) writes. Then tower-ls on the first of two
+    blocks of a non-ergodic system: every certificate side has one entry per
+    point of the system, not of the block."""
+    c400, p8, r1 = (str(tmp_path / name) for name in ("c400.json", "p8.json", "r1.json"))
+    for argv in (["--kind", "cycle", "--m", "400", "--out", c400],
+                 ["--kind", "product", "--cycles", "3,5", "--out", p8],
+                 ["--kind", "random", "--non-ergodic", "--seed", "1", "--num-blocks",
+                  "2:2", "--cycle-lengths", "20:40", "--out", r1]):
+        assert main(["gen", *argv]) == 0
+    capsys.readouterr()
+
+    def report(*argv):
+        assert main(list(argv)) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        return json.loads(out)
+
+    for command in (["validate"], ["kac", "--p", "0,5"],
+                    ["tower-eps", "--n", "2", "--eps", "1/5"], ["approx", "--eps", "1/2"],
+                    ["approx", "--manual", "--p", "0,5", "--n", "3"],
+                    ["decompose", "--p", "0,5"], ["tower", "--p", "0,5", "--n", "3"],
+                    ["recurrent", "--p", "0", "--q", "5"],
+                    ["aperiodic", "--v", "0,1,2", "--N", "3"],
+                    ["tower-ls", "--v", ",".join(map(str, range(400))), "--n", "2",
+                     "--eps", "1/5"]):
+        report(*command, "--system", c400)
+    report("aperiodic", "--v", "0,1,2,3,4,5,6,7", "--N", "3", "--mode", "both",
+           "--system", p8)
+    for command in (["suite", "all", "--trials", "3", "--seed", "1"],
+                    ["demo-paper-examples"], ["gen", "--kind", "swap"],
+                    ["gen", "--kind", "random", "--seed", "1"]):
+        report(*command)
+
+    raw = json.loads(Path(r1).read_text())
+    ls = report("tower-ls", "--v", ",".join(map(str, raw["blocks"][0])), "--n", "2",
+                "--eps", "1/5", "--system", r1)
+    assert ls["extra_certificates"]
+    for cert in (ls["certificate"], *ls["extra_certificates"]):
+        assert len(cert["lhs"]) == len(cert["rhs"]) == raw["size"], cert["name"]

@@ -47,6 +47,7 @@ from cepskit.oracles import (
     first_return_sets,
     forward_image_union,
     n_aperiodic_definitional,
+    q_component,
     s_prime_operator,
     scan_components,
 )
@@ -56,7 +57,6 @@ from cepskit.recurrence import (
     disjointness_witnesses,
     kac_certificate,
     max_cycle_length_meeting,
-    q_component,
     return_decomposition,
 )
 from cepskit.rationals import format_rational
@@ -209,7 +209,7 @@ def components(sys: GroundSystem):
         st.just(frozenset()),
         st.integers(0, sys.size - 1).map(lambda x: frozenset([x])),
         st.just(fixed),
-        st.just(sys.ground_set()),
+        st.just(sys.ground_set),
     )
 
 
@@ -368,7 +368,7 @@ def reference_tower(sys: GroundSystem, p, n: int) -> Tower:
             f"{certificate.rhs!r}"
         )
     return Tower(base=base, height=n, levels=levels,
-                 residual=sys.ground_set() - covered,
+                 residual=sys.ground_set - covered,
                  bound_certificate=certificate, degenerate=not p)
 
 
@@ -587,6 +587,16 @@ def test_return_decomposition_is_lattice_formula_and_trajectories(sys, data):
 
 @SETTINGS
 @given(systems, st.data())
+def test_lattice_formula_is_cycle_positions(sys, data):
+    """The oracle q(p,k) is the cycle-position part, past the longest cycle too."""
+    p = data.draw(components(sys))
+    parts = return_decomposition(sys, p).parts
+    for k in range(1, max_cycle_length_meeting(sys, p) + 2):
+        assert q_component(sys, p, k) == parts.get(k, frozenset())
+
+
+@SETTINGS
+@given(systems, st.data())
 def test_check_recurrent_is_forward_image_sweep(sys, data):
     p = data.draw(components(sys))
     q = data.draw(components(sys))
@@ -715,7 +725,7 @@ def test_proof_chain_sides_are_dense_t(sys, data):
     n = data.draw(st.integers(1, 9))
 
     def reference(sys, p, n):
-        covered = reference_tower(sys, p, n).covered()
+        covered = reference_tower(sys, p, n).covered
         rhs = LatticeElement((Fraction(0),) * sys.size)
         for i, qi in reference_parts(sys, p).items():
             rhs = rhs + (n * (i // n)) * dense_t(sys, qi)
@@ -790,7 +800,7 @@ def test_certificate_sides_expand_to_the_dense_formulas(sys, data):
     chosen = frozenset(x for x in spaced if data.draw(st.booleans()))
     approx = result_or_error(build_s_prime, sys, chosen, n + 1)
     if not isinstance(approx, tuple):
-        off_tower = sys.ground_set() - approx.tower
+        off_tower = sys.ground_set - approx.tower
         majorant = 2 * dense_t(sys, chosen) + 2 * dense_t(sys, off_tower)
         assert_sides(approx.certificate.majorant, majorant, approx.eps * sys.unit)
 
@@ -808,13 +818,13 @@ def test_ls_bound_sides_are_dense_cesaro_mean(sys, data):
     if isinstance(tower, tuple):  # refused: a short cycle, or an invalid L_S system
         return
     chi_v = sys.indicator(v)
-    left = sys.cesaro_mean(chi_v - sys.indicator(tower.covered()))
+    left = sys.cesaro_mean(chi_v - sys.indicator(tower.covered))
     assert_sides(tower.bound_certificate, left, eps * chi_v)
     # The extra certificates are the epsilon tower's, with L_S for T.
     base = frozenset(cyc[0] for cyc in sys.cycles if cyc[0] in v)
     ls_base = sys.cesaro_mean(sys.indicator(base))
     inner, times_horizon, *base_mass = tower.extra_certificates
-    assert_sides(inner, sys.cesaro_mean(sys.indicator(tower.covered())),
+    assert_sides(inner, sys.cesaro_mean(sys.indicator(tower.covered)),
                  (band_project(ls_base.support(), sys.unit) - (n - 1) * ls_base).pos_part())
     horizon = floor((n - 1) / eps) + 1
     assert_sides(times_horizon, horizon * ls_base, sys.unit)
@@ -831,7 +841,7 @@ def test_approx_majorant_is_dense_t(sys, data):
     result = result_or_error(build_s_prime, sys, p, n)
     if isinstance(result, tuple):  # refused or a theorem check failed
         return
-    complement = sys.ground_set() - result.tower
+    complement = sys.ground_set - result.tower
     majorant = 2 * dense_t(sys, p) + 2 * dense_t(sys, complement)
     assert result.certificate.majorant.lhs == majorant
     assert result.eps == max(majorant)
@@ -876,7 +886,7 @@ def aperiodicity_cases(draw):
     v = draw(st.one_of(
         st.sets(st.integers(0, sys.size - 1), min_size=1).map(frozenset),
         st.integers(0, sys.size - 1).map(lambda x: frozenset([x])),
-        st.just(sys.ground_set()),
+        st.just(sys.ground_set),
     ))
     return sys, v, draw(st.integers(1, 7))
 
@@ -888,10 +898,14 @@ def test_aperiodicity_criterion_is_the_definition(case):
     assert n_aperiodic(sys, v, horizon) == n_aperiodic_definitional(sys, v, horizon)
 
 
+def module_tree(name: str) -> ast.Module:
+    return ast.parse(inspect.getsource(import_module(f"cepskit.{name}")))
+
+
 def imported_modules(name: str) -> set[str]:
     """The modules cepskit.<name>'s source imports, relative ones with their dots."""
     names = set()
-    for node in ast.walk(ast.parse(inspect.getsource(import_module(f"cepskit.{name}")))):
+    for node in ast.walk(module_tree(name)):
         if isinstance(node, ast.ImportFrom):
             names.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
@@ -901,7 +915,8 @@ def imported_modules(name: str) -> set[str]:
 
 def test_oracles_import_no_construction_module():
     """oracles.py reads only errors, lattice, system and the standard library,
-    no module it cross-checks imports it, and tower.py enumerates no subsets."""
+    no module it cross-checks imports it, tower.py enumerates no subsets, and
+    q(p,k) by the lattice formula is an oracle."""
     names = imported_modules("oracles")
     assert {n for n in names if n.startswith(".")} == {".errors", ".lattice", ".system"}
     assert all(n.split(".")[0] in _sys.stdlib_module_names
@@ -909,3 +924,11 @@ def test_oracles_import_no_construction_module():
     for name in ("lattice", "system", "recurrence", "tower", "approx"):
         assert ".oracles" not in imported_modules(name)
     assert "itertools" not in imported_modules("tower")
+    # The lattice formula lives in oracles.py only, and steps tau itself
+    # rather than reading the kernels it checks.
+    assert "q_component" not in {node.name for node in module_tree("recurrence").body
+                                 if isinstance(node, ast.FunctionDef)}
+    oracle = ast.parse(inspect.getsource(q_component))
+    read = {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    assert "tau" in read and not read & {"component_image", "tau_power"}

@@ -9,6 +9,7 @@ from cepskit.lattice import (
     BlockValues,
     LatticeElement,
     band_project,
+    disjoint_join,
     elem,
     indicator,
     is_component,
@@ -212,3 +213,21 @@ def test_block_values_entries_must_be_fractions():
     with pytest.raises(DomainError,
                        match=r"^lattice element entries must be exact Fractions$"):
         BlockValues((Fraction(1), 1), (0, 1, 1))
+
+
+def test_disjoint_join():
+    assert disjoint_join([]) == frozenset()
+    assert disjoint_join([frozenset([0, 2]), frozenset(), frozenset([1])]) \
+        == frozenset([0, 1, 2])
+    assert disjoint_join([frozenset([0, 2]), frozenset([2])]) is None
+    parts = {1: frozenset([0]), 2: frozenset([1, 3])}
+    assert disjoint_join(parts.values()) == frozenset([0, 1, 3])
+    parts[3] = frozenset([3])
+    assert disjoint_join(parts.values()) is None
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=4))
+def test_disjoint_join_is_the_pairwise_test(components):
+    overlap = any(a & b for i, a in enumerate(components) for b in components[i + 1:])
+    expected = None if overlap else frozenset().union(*components)
+    assert disjoint_join(components) == expected

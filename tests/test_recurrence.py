@@ -23,14 +23,13 @@ from cepskit.generators import (
     with_single_block,
 )
 from cepskit.lattice import elem
-from cepskit.oracles import first_return_sets, forward_image_union
+from cepskit.oracles import first_return_sets, forward_image_union, q_component
 from cepskit.recurrence import (
     check_recurrent,
     disjointness_witnesses,
     first_return_time,
     kac_certificate,
     max_cycle_length_meeting,
-    q_component,
     return_decomposition,
 )
 

@@ -107,6 +107,12 @@ def test_nonpositive_size_fails_size_positive(size):
         GroundSystem(size, (), (), (), check_axioms=False)
 
 
+def test_omega_and_e_are_built_once():
+    sys = single_cycle(5)
+    assert sys.ground_set is sys.ground_set == frozenset(range(5))
+    assert sys.unit is sys.unit == ones(5)
+
+
 def test_validate_never_raises_on_garbage():
     assert not validate_ceps({"size": "x"}).ok
     assert not validate_ceps({}).ok
@@ -153,6 +159,18 @@ def test_parser_refuses_int_subclasses():
     raw = {"size": 2, "weights": ["1/2", "1/2"], "blocks": [[0, 1]],
            "tau": [Point.ONE, 0]}
     assert validate_ceps(raw).checks == (Check("parseable", False, Point.ONE),)
+
+
+@pytest.mark.parametrize("size", [True, Point.ONE], ids=["bool", "int-enum"])
+def test_library_size_must_be_an_int(size):
+    """A size equal to 1 but not an int would serialize as another value."""
+    pieces = ((F(1),), (frozenset([0]),), (0,))
+    (check,) = validate_parts(size, *pieces).checks
+    assert check == Check("size-positive", False, size) and check.witness is size
+    with pytest.raises(InvalidSystem):
+        GroundSystem(size, *pieces)
+    with pytest.raises(InvalidSystem):
+        single_cycle(size)
 
 
 # Block members and tau entries are ints, as the parser reads them: pieces
@@ -413,7 +431,7 @@ def test_component_image():
     swap = swap_example()
     assert swap.component_image(1, [0]) == frozenset([1])
     c7 = single_cycle(7)
-    assert c7.component_image(0, c7.ground_set()) == c7.ground_set()
+    assert c7.component_image(0, c7.ground_set) == c7.ground_set
     assert c7.component_image(5, frozenset()) == frozenset()
     for j in (-3, 2):
         assert c7.component_image(j, [0, 2]) == brute_component_image(c7, j, [0, 2])

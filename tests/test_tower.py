@@ -23,7 +23,7 @@ from cepskit.generators import (
     with_single_block,
 )
 from cepskit.approx import build_s_prime
-from cepskit.lattice import elem, zeros
+from cepskit.lattice import elem, ones, zeros
 from cepskit.oracles import n_aperiodic_definitional
 from cepskit.recurrence import kac_certificate
 from cepskit.system import Check, GroundSystem
@@ -47,12 +47,12 @@ def test_swap_tower_heights():
     e = swap.unit
     t1 = build_tower(swap, [0], 1)
     assert t1.base == frozenset([0, 1])
-    assert swap.expectation(swap.indicator(t1.covered())) == e
+    assert swap.expectation(swap.indicator(t1.covered)) == e
     assert t1.bound_certificate.rhs == e
 
     t2 = build_tower(swap, [0], 2)
     assert t2.base == frozenset([0])
-    assert swap.expectation(swap.indicator(t2.covered())) == e
+    assert swap.expectation(swap.indicator(t2.covered)) == e
     assert t2.bound_certificate.rhs == elem(["1/2", "1/2"])
 
     t3 = build_tower(swap, [0], 3)
@@ -86,7 +86,7 @@ def test_empty_base_gives_degenerate_tower():
     t = build_tower(c5, [], 3)
     assert t.degenerate
     assert t.base == frozenset()
-    assert t.residual == c5.ground_set()
+    assert t.residual == c5.ground_set
     assert t.bound_certificate.holds
 
 
@@ -118,7 +118,7 @@ def test_proof_chain_identity():
 
 def test_n_aperiodic_criterion_cases():
     sys = direct_product([single_cycle(3), single_cycle(5)])
-    v = sys.ground_set()
+    v = sys.ground_set
     assert n_aperiodic(sys, v, 3)
     assert not n_aperiodic(sys, v, 4)
     # v inside a fixed point
@@ -127,12 +127,12 @@ def test_n_aperiodic_criterion_cases():
     # a single M-cycle is N-aperiodic for every N <= M
     c6 = single_cycle(6)
     for horizon in range(1, 7):
-        assert n_aperiodic(c6, c6.ground_set(), horizon)
+        assert n_aperiodic(c6, c6.ground_set, horizon)
 
 
 def test_n_aperiodic_modes_agree_and_guard():
     sys = direct_product([single_cycle(3), single_cycle(5)])
-    v = sys.ground_set()
+    v = sys.ground_set
     for horizon in (1, 2, 3, 4, 5, 6):
         assert n_aperiodic_definitional(sys, v, horizon) == n_aperiodic(sys, v, horizon)
     with pytest.raises(DomainError):
@@ -146,8 +146,8 @@ def test_n_aperiodic_on_sub_component():
     inside_long = frozenset([3, 4])
     assert n_aperiodic(sys, inside_long, 4)
     assert n_aperiodic_definitional(sys, inside_long, 4)
-    assert not n_aperiodic(sys, sys.ground_set(), 3)
-    assert not n_aperiodic_definitional(sys, sys.ground_set(), 3)
+    assert not n_aperiodic(sys, sys.ground_set, 3)
+    assert not n_aperiodic_definitional(sys, sys.ground_set, 3)
 
 
 # -- base component at a horizon --
@@ -365,5 +365,14 @@ def test_verify_against_names_every_broken_invariant():
     }
     for problem, broken in tampered.items():
         assert broken.verify_against(sys) == [problem]
+    # The join is built once per tower; a replaced tower builds its own.
+    assert tower.covered is tower.covered == frozenset(range(6))
+    assert tampered["level-count"].covered == frozenset([0, 2, 3, 5])
     assert replace(tower, bound_certificate=failing, extra_certificates=(failing,)) \
         .verify_against(sys) == ["certificate-made-up", "certificate-made-up"]
+
+
+@pytest.mark.parametrize("relation", ["==", "<", ">", "=<", ""])
+def test_bound_certificate_refuses_other_relations(relation):
+    with pytest.raises(DomainError, match=r"^relation must be '<=' or '>=', got "):
+        BoundCertificate("x", lhs=ones(3), rhs=zeros(3), relation=relation)
